@@ -20,7 +20,7 @@ from .core import (
     inverse,
     tighten_word,
 )
-from .maps import GraphMap, MapChain, MapError, transition_matrix, is_primitive
+from .maps import MapError, as_chain, transition_matrix, is_primitive
 from .traintrack import (
     LEGALIZING,
     NONE_FOUND,
@@ -156,9 +156,8 @@ def stable_index_list(
     power = expanding_power(f, expansion_bound)
     if power is None:
         return (doubled, True)
-    iterated = MapChain(f.graph, list(f.factors) * power) if power > 1 else f
     inp = find_periodic_inps(
-        iterated,
+        as_chain(f).power(power),
         gates,
         period_bound=inp_period_bound,
         length_bound=inp_length_bound,

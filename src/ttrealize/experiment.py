@@ -90,8 +90,7 @@ def grade_sample(chain: MapChain, materialize_budget: int = 2_000_000) -> Sample
         return SampleGrade(CATEGORY_OTHER, None, False, False, None)
     primitive, _ = is_primitive(transition_matrix(f))
     wh = whitehead_graphs(f, gates)["v1"].is_connected()
-    iterated = MapChain(graph, [f] * power) if power > 1 else f
-    inp = find_periodic_inps(iterated, gates)
+    inp = find_periodic_inps(chain.power(power), gates)
     doubled = gates.gate_count("v1") - 2
     index_list = (doubled,) if gates.gate_count("v1") >= 3 else ()
     if primitive and wh and inp.verdict == NONE_FOUND:

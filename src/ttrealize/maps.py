@@ -3,9 +3,10 @@
 A ``GraphMap`` stores explicit edge images.  A ``MapChain`` represents a
 composition of graph maps by its factor list only: compositions built in
 this package routinely have edge images with billions of letters, so a
-chain never materializes them.  Instead it keeps exact (big integer)
-image lengths per factor level and extracts arbitrary letter windows on
-demand; short prefixes and suffixes are cached for the hot paths.
+chain never materializes them.  Instead one table per factor list holds
+the expansion tree restricted to the factors that move each token, with
+exact (big integer) lengths; windows, directions and image comparisons
+descend it, and a chain's powers share it.
 """
 
 from __future__ import annotations
@@ -111,25 +112,6 @@ class GraphMap:
         for token in path.edges:
             edges.extend(self._images[token])
         return Path(self.vertex_image[path.start], tuple(edges))
-
-    def apply_word_prefix(self, word: Sequence[str], k: int) -> list[str]:
-        out: list[str] = []
-        for token in word:
-            need = k - len(out)
-            if need <= 0:
-                break
-            out.extend(self._images[token][:need])
-        return out
-
-    def apply_word_suffix(self, word: Sequence[str], k: int) -> list[str]:
-        out: list[str] = []
-        for token in reversed(word):
-            need = k - len(out)
-            if need <= 0:
-                break
-            block = self._images[token]
-            out[:0] = block[-need:]
-        return out
 
     def image_window(self, token: str, start: int, count: int) -> list[str]:
         return list(self._images[token][start:start + count])
@@ -328,25 +310,92 @@ def _bool_mul(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def word_count_vector(graph: Graph, word: Sequence[str]) -> dict[str, int]:
-    counts = {e: 0 for e in graph.positive_edges}
-    for token in word:
-        counts[positive_label(token)] += 1
-    return counts
-
-
 # -- factored compositions ---------------------------------------------------
+
+
+# subtrees of at most this many letters are spelled out once per table
+_SPELLED = 64
+
+
+class _ChainTable:
+    """The expansion tree of one pass through a factor list, with exact lengths.
+
+    Node ids below ``len(tokens)`` are boundaries: the token ``tokens[n]``
+    leaving the last factor.  Every higher id stands for a token at a level
+    j whose factor moves it; ``kids[n]`` holds, for each letter y of
+    f_j(token), the node of y at the next level that moves y, else y's
+    boundary.  Levels that leave a token alone are never visited.
+    ``root[y]`` is y's node at the first level that moves it.
+    ``lengths[r][n]`` is the image length below node n with r passes of the
+    factor list left to run, this one included: a power of the chain shares
+    ``kids`` and adds one length vector per pass.  ``letters[r][n]`` spells
+    out the image below n when it has at most ``_SPELLED`` letters, else
+    None; windows copy such subtrees whole.
+    """
+
+    def __init__(self, graph: Graph, factors: Sequence[GraphMap]):
+        self.graph = graph
+        self.factors = factors
+        self.depth = len(factors)
+        self.kids: list[tuple[int, ...]] | None = None
+        # index 0, no pass left, is a placeholder
+        self.lengths: list[list[int]] = [[]]
+        self.letters: list[list[list[str] | None]] = [[]]
+
+    def _build(self):
+        self.tokens = tuple(self.graph.directed_edges)
+        self.index = {t: n for n, t in enumerate(self.tokens)}
+        self.level = [self.depth] * len(self.tokens)
+        self.kids = [()] * len(self.tokens)
+        nearest = list(range(len(self.tokens)))
+        for j in range(self.depth - 1, -1, -1):
+            f = self.factors[j]
+            moved = [
+                (self.index[t], tuple(nearest[self.index[y]] for y in f.image_edges(t)))
+                for t in f.touched_tokens
+            ]
+            for n, kids in moved:
+                nearest[n] = len(self.kids)
+                self.kids.append(kids)
+                self.level.append(j)
+        self.root = nearest
+
+    def grow(self, copies: int) -> list[list[int]]:
+        """The length vectors, extended to ``copies`` passes."""
+        if self.kids is None:
+            self._build()
+        while len(self.lengths) <= copies:
+            r = len(self.lengths)
+            vec = [1] * len(self.tokens) if r == 1 else [self.lengths[-1][n] for n in self.root]
+            for kids in self.kids[len(vec):]:
+                vec.append(sum([vec[k] for k in kids]))
+            self.lengths.append(vec)
+        return self.lengths
+
+    def spell(self, copies: int) -> list[list[list[str] | None]]:
+        """The spelled-out small subtrees, extended to ``copies`` passes."""
+        while len(self.letters) <= copies:
+            r = len(self.letters)
+            vec = self.lengths[r]
+            row = [[t] for t in self.tokens] if r == 1 else [self.letters[-1][n] for n in self.root]
+            for n in range(len(row), len(self.kids)):
+                small = vec[n] <= _SPELLED
+                row.append([x for k in self.kids[n] for x in row[k]] if small else None)
+            self.letters.append(row)
+        return self.letters
 
 
 class MapChain:
     """A composition of graph maps, stored as its factor list.
 
-    ``factors[0]`` is applied first.  Edge images are never materialized;
-    exact lengths come from per-level big-int tables and letter windows
-    are extracted by descending the factor levels.  Levels whose factor
-    leaves a token untouched reuse the deeper level's data, which keeps
-    table construction fast for the long, sparse chains built here.
+    ``factors[0]`` is applied first, and the list runs ``copies`` times
+    over (``power`` makes such views).  Edge images are never materialized:
+    exact lengths, letter windows and directions all read one lazily built
+    ``_ChainTable``, shared by the chain and its powers, whose descent
+    skips every level that leaves a token alone.
     """
+
+    copies = 1
 
     def __init__(self, graph: Graph, factors: Sequence[GraphMap]):
         if not factors:
@@ -360,16 +409,26 @@ class MapChain:
         for f in self.factors:
             vmap = {v: f.vertex_image[w] for v, w in vmap.items()}
         self.vertex_image = vmap
-        self._suffix_lengths: list[dict[str, int]] | None = None
-        self._prefix: dict[str, list[str]] = {}
-        self._prefix_k = 0
-        self._suffix: dict[str, list[str]] = {}
-        self._suffix_k = 0
+        self._table = _ChainTable(graph, self.factors)
+        self._suffix_lengths: list[list[int]] | None = None
         self._matrix: TransitionMatrix | None = None
 
-    def then(self, f: GraphMap) -> "MapChain":
-        """The chain followed by one more map (f applied last)."""
-        return MapChain(self.graph, self.factors + (f,))
+    def power(self, p: int) -> "MapChain":
+        """The chain run ``p`` times over, sharing this chain's table.
+
+        The view answers image queries (lengths, windows, directions,
+        comparisons) for the p-fold composite; its ``factors`` stay one pass.
+        """
+        if p == 1:
+            return self
+        view = MapChain(self.graph, self.factors)
+        view.copies = self.copies * p
+        view._table = self._table
+        vmap = self.vertex_image
+        for _ in range(p - 1):
+            vmap = {v: self.vertex_image[w] for v, w in vmap.items()}
+        view.vertex_image = vmap
+        return view
 
     @property
     def transition(self) -> TransitionMatrix:
@@ -379,141 +438,72 @@ class MapChain:
                 m = factor.transition
                 result = m if result is None else m @ result
             assert result is not None
-            self._matrix = result
+            self._matrix = result if self.copies == 1 else result.power(self.copies)
         return self._matrix
 
     def fixes_all_vertices(self) -> bool:
         return all(self.vertex_image[v] == v for v in self.graph.vertices)
 
-    def direction(self, token: str) -> str:
-        for f in self.factors:
-            token = f.direction(token)
-        return token
+    # -- the table ---------------------------------------------------------
 
-    # -- exact lengths ---------------------------------------------------
-
-    def _lengths(self) -> list[dict[str, int]]:
+    def _lengths(self) -> list[list[int]]:
         if self._suffix_lengths is None:
-            m = len(self.factors)
-            tables: list[dict[str, int]] = [dict() for _ in range(m + 1)]
-            tables[m] = {t: 1 for t in self.graph.directed_edges}
-            for j in range(m - 1, -1, -1):
-                f = self.factors[j]
-                deeper = tables[j + 1]
-                table = dict(deeper)
-                for token in f.touched_tokens:
-                    table[token] = sum(deeper[y] for y in f.image_edges(token))
-                tables[j] = table
-            self._suffix_lengths = tables
+            self._suffix_lengths = self._table.grow(self.copies)
         return self._suffix_lengths
 
+    def direction(self, token: str) -> str:
+        self._lengths()
+        table = self._table
+        n, r = table.root[table.index[token]], self.copies
+        while True:
+            if n >= len(table.tokens):
+                n = table.kids[n][0]
+            elif r > 1:
+                n, r = table.root[n], r - 1
+            else:
+                return table.tokens[n]
+
     def image_length(self, token: str) -> int:
-        return self._lengths()[0][token]
+        lengths = self._lengths()[self.copies]
+        return lengths[self._table.root[self._table.index[token]]]
 
     def word_image_length(self, word: Sequence[str]) -> int:
-        table = self._lengths()[0]
-        return sum(table[t] for t in word)
-
-    # -- cached prefixes and suffixes -------------------------------------
-
-    def _ensure_prefix(self, k: int):
-        if self._prefix_k >= k:
-            return
-        k = max(k, 64)
-        m = len(self.factors)
-        cur = {t: [t] for t in self.graph.directed_edges}
-        for j in range(m - 1, -1, -1):
-            f = self.factors[j]
-            touched = f.touched_tokens
-            if touched:
-                nxt = dict(cur)
-                for token in touched:
-                    buf: list[str] = []
-                    for y in f.image_edges(token):
-                        need = k - len(buf)
-                        if need <= 0:
-                            break
-                        buf.extend(cur[y][:need])
-                    nxt[token] = buf
-                cur = nxt
-        self._prefix = cur
-        self._prefix_k = k
-
-    def _ensure_suffix(self, k: int):
-        if self._suffix_k >= k:
-            return
-        k = max(k, 64)
-        m = len(self.factors)
-        cur = {t: [t] for t in self.graph.directed_edges}
-        for j in range(m - 1, -1, -1):
-            f = self.factors[j]
-            touched = f.touched_tokens
-            if touched:
-                nxt = dict(cur)
-                for token in touched:
-                    buf: list[str] = []
-                    for y in reversed(f.image_edges(token)):
-                        need = k - len(buf)
-                        if need <= 0:
-                            break
-                        buf[:0] = cur[y][-need:]
-                    nxt[token] = buf
-                cur = nxt
-        self._suffix = cur
-        self._suffix_k = k
-
-    def image_prefix(self, token: str, k: int) -> list[str]:
-        self._ensure_prefix(k)
-        return self._prefix[token][:k]
-
-    def apply_word_prefix(self, word: Sequence[str], k: int) -> list[str]:
-        self._ensure_prefix(k)
-        out: list[str] = []
-        prefix = self._prefix
-        for token in word:
-            need = k - len(out)
-            if need <= 0:
-                break
-            out.extend(prefix[token][:need])
-        return out
-
-    def apply_word_suffix(self, word: Sequence[str], k: int) -> list[str]:
-        self._ensure_suffix(k)
-        out: list[str] = []
-        suffix = self._suffix
-        for token in reversed(word):
-            need = k - len(out)
-            if need <= 0:
-                break
-            out[:0] = suffix[token][-need:]
-        return out
-
-    # -- arbitrary windows -------------------------------------------------
+        lengths = self._lengths()[self.copies]
+        root, index = self._table.root, self._table.index
+        return sum(lengths[root[index[t]]] for t in word)
 
     def image_window(self, token: str, start: int, count: int) -> list[str]:
         """Letters [start, start+count) of the image of ``token``."""
         lengths = self._lengths()
-        m = len(self.factors)
+        table = self._table
+        letters = table.spell(self.copies)
+        kids, root, tokens = table.kids, table.root, table.tokens
+        top = root[table.index[token]]
         out: list[str] = []
-        stack: list[tuple[int, str, int, int]] = [(0, token, start, count)]
+        if count <= 0 or start >= lengths[self.copies][top]:
+            return out
+        stack: list[tuple[int, int, int, int]] = [(self.copies, top, start, count)]
         while stack:
-            j, tok, s, c = stack.pop()
-            if c <= 0:
+            r, n, s, c = stack.pop()
+            spelled = letters[r][n]
+            if spelled is not None:
+                out.extend(spelled[s:s + c])
                 continue
-            if j == m:
-                out.append(tok)
+            if n < len(tokens):
+                stack.append((r - 1, root[n], s, c))
                 continue
-            segs: list[tuple[int, str, int, int]] = []
-            for y in self.factors[j].image_edges(tok):
-                if c <= 0:
-                    break
-                block = lengths[j + 1][y]
+            block_lengths = lengths[r]
+            segs: list[tuple[int, int, int, int]] = []
+            for k in kids[n]:
+                block = block_lengths[k]
                 if s >= block:
                     s -= block
                     continue
                 take = min(c, block - s)
-                segs.append((j + 1, y, s, take))
+                segs.append((r, k, s, take))
                 c -= take
+                if c <= 0:
+                    break
                 s = 0
             stack.extend(reversed(segs))
         return out
@@ -541,6 +531,8 @@ class MapChain:
         return GraphMap(self.graph, images, dict(self.vertex_image))
 
     def to_json(self) -> dict:
+        if self.copies > 1:
+            raise MapError("a power of a chain is not serialized")
         return {"factors": [f.to_json() for f in self.factors]}
 
     @classmethod
@@ -564,47 +556,53 @@ class ComparisonBudgetError(RuntimeError):
 class ImageCursor:
     """Depth-first position in the expansion tree of a chain image.
 
-    The image of a word under ``f_m ∘ ... ∘ f_1`` is a tree: a level-j node
-    holding token x expands through factor j into the letters of f_j(x),
-    and depth-m nodes are the actual letters.  A cursor always sits at the
-    start of its current node's subtree, so two cursors on the same chain
-    whose nodes carry the same level and token face identical subtrees.
+    The current node is (``level``, ``node``): pass c of the factor list
+    spans levels c*m up to c*m + m, a table node sits at the next level
+    that moves its token, and a boundary sits at the end of its pass;
+    boundaries at depth ``copies * m`` are the actual letters.  A cursor
+    always sits at the start of its current node's subtree, so two cursors
+    on the same chain whose nodes are equal face identical subtrees.
+    ``node`` is None once the cursor has passed the whole word.
     """
 
-    __slots__ = ("factors", "lengths", "stack", "pos", "depth")
+    __slots__ = ("table", "lengths", "stack", "pos", "level", "node")
 
     def __init__(self, chain: MapChain, word: Sequence[str]):
-        self.factors = chain.factors
         self.lengths = chain._lengths()
-        self.depth = len(self.factors)
-        self.stack: list[list] = [[0, tuple(word), 0]] if word else []
+        self.table = table = chain._table
+        roots = tuple(table.root[table.index[t]] for t in word)
+        self.stack: list[list] = [[chain.copies, 0, roots, 0]] if roots else []
         self.pos = 0
-
-    def at_end(self) -> bool:
-        return not self.stack
-
-    def node(self) -> tuple[int, str]:
-        frame = self.stack[-1]
-        return (frame[0], frame[1][frame[2]])
+        self.node: int | None = roots[0] if roots else None
+        self.level = table.level[roots[0]] if roots else 0
 
     def advance(self) -> None:
         """Move past the current node's whole subtree."""
         frame = self.stack[-1]
-        self.pos += self.lengths[frame[0]][frame[1][frame[2]]]
+        self.pos += self.lengths[frame[0]][self.node]
         while True:
-            frame[2] += 1
-            if frame[2] < len(frame[1]):
+            frame[3] += 1
+            if frame[3] < len(frame[2]):
+                self.node = n = frame[2][frame[3]]
+                self.level = frame[1] + self.table.level[n]
                 return
             self.stack.pop()
             if not self.stack:
+                self.node = None
                 return
             frame = self.stack[-1]
 
     def descend(self) -> None:
-        """Replace the current node by its expansion one level down."""
+        """Replace the current node by its children, or a boundary by the next pass."""
         frame = self.stack[-1]
-        token = frame[1][frame[2]]
-        self.stack.append([frame[0] + 1, self.factors[frame[0]].image_edges(token), 0])
+        n, table = self.node, self.table
+        if n < len(table.tokens):
+            frame = [frame[0] - 1, frame[1] + table.depth, (table.root[n],), 0]
+        else:
+            frame = [frame[0], frame[1], table.kids[n], 0]
+        self.stack.append(frame)
+        self.node = n = frame[2][0]
+        self.level = frame[1] + table.level[n]
 
 
 def compare_image_words(
@@ -623,7 +621,7 @@ def compare_image_words(
     """
     a = ImageCursor(chain, word_a)
     b = ImageCursor(chain, word_b)
-    depth = a.depth
+    depth = chain.copies * a.table.depth
     steps = 0
     while True:
         steps += 1
@@ -631,22 +629,21 @@ def compare_image_words(
             raise ComparisonBudgetError(
                 f"image comparison exceeded {step_budget} steps at position {a.pos}"
             )
-        if a.at_end() or b.at_end():
-            if a.at_end() and b.at_end():
+        if a.node is None or b.node is None:
+            if a.node is None and b.node is None:
                 return ("contained", "equal", a.pos)
-            return ("contained", "a" if a.at_end() else "b", min(a.pos, b.pos))
-        ja, ta = a.node()
-        jb, tb = b.node()
-        if ja == jb:
-            if ta == tb:
+            return ("contained", "a" if a.node is None else "b", min(a.pos, b.pos))
+        if a.level == b.level:
+            if a.node == b.node:
                 a.advance()
                 b.advance()
-            elif ja == depth:
-                return ("diverge", a.pos, ta, tb)
+            elif a.level == depth:
+                tokens = a.table.tokens
+                return ("diverge", a.pos, tokens[a.node], tokens[b.node])
             else:
                 a.descend()
                 b.descend()
-        elif ja < jb:
+        elif a.level < b.level:
             a.descend()
         else:
             b.descend()
@@ -667,33 +664,3 @@ def word_image_window(chain: MapChain, word: Sequence[str], start: int, count: i
         count -= take
         start = 0
     return out
-
-
-def truncated_power_prefix(f, word: Sequence[str], power: int, k: int) -> list[str]:
-    """First k letters of f^power applied to ``word``.
-
-    Valid because maps have no contracted edges, so the first k letters
-    of an image depend only on the first k letters of the argument.
-    """
-    out = list(word)
-    for _ in range(power):
-        out = f.apply_word_prefix(out, k)
-    return out
-
-
-def truncated_power_suffix(f, word: Sequence[str], power: int, k: int) -> list[str]:
-    out = list(word)
-    for _ in range(power):
-        out = f.apply_word_suffix(out, k)
-    return out
-
-
-def power_image_length(f, word: Sequence[str], power: int) -> int:
-    """Exact |f^power(word)| via transition-matrix powers."""
-    graph = f.graph
-    m = f.transition
-    counts = word_count_vector(graph, word)
-    vec = [counts[e] for e in m.labels]
-    for _ in range(power):
-        vec = [sum(row[j] * vec[j] for j in range(len(vec))) for row in m.rows]
-    return sum(vec)

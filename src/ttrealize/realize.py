@@ -753,12 +753,13 @@ def build_legalizing_map(
     L = bp.long_turn_length
     if c_max is None:
         c_max = 64 * L
+    if c_max < L:
+        raise ValueError(f"legalizing C_max {c_max} is below the long-turn length {L}")
     by_turn = {frozenset(rec.turn.tokens()): rec for rec in legalizers if rec.turn}
     factors = list(h.factors) + [rec.map for rec in legalizers] + list(h.factors)
     log: list[str] = []
     for round_no in range(max_rounds + 1):
         chain = MapChain(graph, factors)
-        cert = None
         C = L
         while C <= c_max:
             cert = verify_legalizing(chain, gates, C)
@@ -769,7 +770,6 @@ def build_legalizing_map(
                 C *= 2
                 continue
             break
-        assert cert is not None
         if cert.witness_image_turn is None:
             raise LegalizingSearchError(
                 "legalizing search stuck on a not-g-long witness: "

@@ -132,15 +132,16 @@ class TrainTrackDiagnostics:
 def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics:
     """Verify the train track morphism conditions with respect to ``gates``.
 
-    For a factored composition every factor is checked directly; a chain
-    of train track morphisms is again one (legal edge images stay legal
-    through maps that send legal paths to legal paths), so the composite
-    inherits condition (ii) without materializing its images.  Conditions
-    (i) and (iii) are additionally checked on the composite itself.
+    For a factored composition every distinct factor is checked directly,
+    once and in chain order; a chain of train track morphisms is again one
+    (legal edge images stay legal through maps that send legal paths to
+    legal paths), so the composite inherits condition (ii) without
+    materializing its images.  Conditions (i) and (iii) are additionally
+    checked on the composite itself.
     """
     factors = f.factors
     if len(factors) > 1:
-        for factor in factors:
+        for factor in dict.fromkeys(factors):
             diag = _check_single(factor, gates)
             if not diag.ok:
                 return TrainTrackDiagnostics(
@@ -167,11 +168,14 @@ def _check_single(f: GraphMap, gates: GateStructure) -> TrainTrackDiagnostics:
 
 def _illegal_legal_turn_images(f, gates: GateStructure) -> list[tuple[str, str]]:
     bad = []
-    for turn in all_turns(f.graph):
-        if turn.is_legal(gates):
-            da, db = f.direction(turn.a), f.direction(turn.b)
-            if da == db or not gates.is_legal_turn(da, db):
-                bad.append((turn.a, turn.b))
+    df = direction_map(f)
+    for v in f.graph.vertices:
+        # the pairs of turns_at, made into Turns only when reported
+        for a, b in itertools.combinations(f.graph.edges_at(v), 2):
+            if gates.is_legal_turn(a, b):
+                da, db = df[a], df[b]
+                if da == db or not gates.is_legal_turn(da, db):
+                    bad.append(Turn(a, b).tokens())
     return bad
 
 
@@ -317,7 +321,7 @@ def _crossed_gate_pairs(f, gates: GateStructure) -> set[tuple[int, int]]:
     factors = f.factors
     pairs: set[tuple[int, int]] = set()
     if len(factors) > 1:
-        for factor in factors:
+        for factor in dict.fromkeys(factors):
             if not fixes_all_gates(factor, gates):
                 raise MapError(
                     "factored Whitehead computation needs gate-fixing factors"
@@ -643,6 +647,10 @@ def find_periodic_inps(
     Absence is bounded-complete for vertex-endpoint candidates only;
     Nielsen paths with endpoints inside edges are out of scope here.
     """
+    for name, bound in (("period_bound", period_bound), ("length_bound", length_bound),
+                        ("max_steps", max_steps)):
+        if bound < 1:
+            raise ValueError(f"{name} must be at least 1, got {bound}")
     graph = f.graph
     for e in graph.positive_edges:
         if f.image_length(e) < 2:
@@ -662,7 +670,7 @@ def find_periodic_inps(
             if dirs[e][p] != dirs[e2][p]:
                 continue
             if p not in powers:
-                powers[p] = MapChain(graph, list(base.factors) * p)
+                powers[p] = base.power(p)
             hit = _iterate_strip_states(
                 powers[p], turn, length_bound, max_steps, notes
             )

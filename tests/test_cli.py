@@ -103,3 +103,22 @@ def test_enumerate_text_and_json(tmp_path, capsys):
     assert main(["enumerate", "--rank", "4", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["count"] == len(payload["lists"]) == 18
+
+
+def test_out_of_range_search_bounds_exit_two(tmp_path, capsys):
+    code = main(["realize", "--rank", "3", "--index-list", "1/2", "--inp-period-bound", "-1"])
+    assert code == 2
+    assert "period_bound must be at least 1" in capsys.readouterr().err
+    out = tmp_path / "result.json"
+    assert main(["realize", "--rank", "3", "--index-list", "1/2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(out), "--inp-length-bound", "0"]) == 2
+    assert "length_bound must be at least 1" in capsys.readouterr().err
+
+
+def test_legalizing_cmax_below_long_turn_length_exits_two(capsys):
+    code = main([
+        "realize", "--rank", "6", "--index-list", "1,1,1/2,1,1", "--legalizing-cmax", "1",
+    ])
+    assert code == 2
+    assert "below the long-turn length" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from ttrealize.maps import (
     compose_maps,
     is_primitive,
     transition_matrix,
-    truncated_power_prefix,
     word_image_window,
     TransitionMatrix,
 )
@@ -153,8 +152,9 @@ def test_chain_matches_materialized_composition(rose2):
         assert chain.image_length(e) == dense.image_length(e)
         full = chain.image_window(e, 0, chain.image_length(e))
         assert tuple(full) == dense.image_edges(e)
-        assert chain.image_prefix(e, 5) == list(dense.image_edges(e)[:5])
-        assert chain.apply_word_suffix((e,), 4) == list(dense.image_edges(e)[-4:])
+        assert chain.image_window(e, 0, 5) == list(dense.image_edges(e)[:5])
+        n = chain.image_length(e)
+        assert chain.image_window(e, max(n - 4, 0), 4) == list(dense.image_edges(e)[-4:])
         mid = chain.image_window(e, 2, 3)
         assert mid == list(dense.image_edges(e)[2:5])
     assert chain.transition.rows == transition_matrix(dense).rows
@@ -186,14 +186,6 @@ def test_chain_window_and_compare_oracle():
                     assert outcome == ("diverge", cut, da[cut], db[cut])
                 window = word_image_window(chain, wa, 1, 4)
                 assert window == list(da[1:5])
-
-
-def test_truncated_power_prefix(rose2):
-    f = fib_map(rose2)
-    assert truncated_power_prefix(f, ("a",), 2, 3) == ["a", "b", "a"]
-    # prefix property: iterated truncation agrees with the exact power
-    dense = compose_maps(f, compose_maps(f, f))
-    assert truncated_power_prefix(f, ("a",), 3, 4) == list(dense.image_edges("a")[:4])
 
 
 def test_map_validation_errors(rose2):

@@ -329,6 +329,9 @@ def test_inp_search_vacuous_without_illegal_turns():
     gates = GateStructure.singletons(loop)
     inp = find_periodic_inps(f, gates)
     assert inp.verdict == NONE_FOUND
+    for bounds in ({"period_bound": -1}, {"length_bound": 0}, {"max_steps": 0}):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            find_periodic_inps(f, gates, **bounds)
 
 
 def test_inp_search_requires_expansion(rose2):
