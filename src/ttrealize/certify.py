@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    canonical_index_list,
     format_index_entry,
     inverse,
     tighten_word,

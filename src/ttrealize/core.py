@@ -8,10 +8,9 @@ All values in this module are immutable after construction.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -25,6 +24,11 @@ _LABEL_RE = re.compile(r"^([A-Za-z]+)(\d*)$")
 def inverse(token: str) -> str:
     """Reversal of a directed edge token: ``c1 <-> ~c1``."""
     return token[1:] if token.startswith("~") else "~" + token
+
+
+def inverse_word(word: Sequence[str]) -> tuple[str, ...]:
+    """The tokens of the reversed path: inverses in reverse order."""
+    return tuple(inverse(t) for t in reversed(word))
 
 
 def is_positive(token: str) -> bool:
@@ -151,16 +155,11 @@ class Graph:
             raise GraphError(f"invalid path {p.edges!r} from {start!r}")
         return p
 
-    def path_from_edges(self, edges: Sequence[str]) -> Path:
-        if not edges:
-            raise GraphError("need at least one edge to infer the start vertex")
-        return self.path(self._init[edges[0]], edges)
-
     def path_end(self, path: Path) -> str:
         return self.term_of(path.edges[-1]) if path.edges else path.start
 
     def reverse_path(self, path: Path) -> Path:
-        return Path(self.path_end(path), tuple(inverse(e) for e in reversed(path.edges)))
+        return Path(self.path_end(path), inverse_word(path.edges))
 
     def concat(self, *paths: Path) -> Path:
         head = paths[0]
@@ -195,25 +194,13 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.positive_edges)} edges, rank {self.rank})"
 
 
-def is_reduced(path: Path) -> bool:
-    return all(
-        path.edges[k + 1] != inverse(path.edges[k]) for k in range(len(path.edges) - 1)
-    )
-
-
 def tighten(path: Path) -> Path:
     """The reduced path homotopic to ``path`` relative to its endpoints.
 
     Cancels adjacent ``e ~e`` pairs until none remain; the start vertex is
     preserved (full cancellation leaves the empty path at ``path.start``).
     """
-    stack: list[str] = []
-    for token in path.edges:
-        if stack and stack[-1] == inverse(token):
-            stack.pop()
-        else:
-            stack.append(token)
-    return Path(path.start, tuple(stack))
+    return Path(path.start, tighten_word(path.edges))
 
 
 def tighten_word(edges: Sequence[str]) -> tuple[str, ...]:
@@ -276,9 +263,6 @@ class GateStructure:
     def gate_tokens(self, gid: int) -> tuple[str, ...]:
         return self.gates[gid]
 
-    def base_vertex(self, gid: int) -> str:
-        return self.graph.init_of(self.gates[gid][0])
-
     def gates_at(self, vertex: str) -> tuple[int, ...]:
         return self._gates_at[vertex]
 
@@ -340,12 +324,11 @@ def crossed_turns(path: Path) -> Iterator[tuple[str, str]]:
 class GraphDiagnostics:
     connected: bool
     valence_violations: tuple[tuple[str, int], ...]
-    involution_ok: bool
     rank: int
 
     @property
     def ok(self) -> bool:
-        return self.connected and self.involution_ok and not self.valence_violations
+        return self.connected and not self.valence_violations
 
 
 def validate_graph(graph: Graph) -> GraphDiagnostics:
@@ -353,7 +336,7 @@ def validate_graph(graph: Graph) -> GraphDiagnostics:
 
     A loop contributes two germs to its base vertex, so a single-loop rose
     is flagged as a valence-2 vertex.  The token pairing makes involution
-    defects unrepresentable; the field is kept for the diagnostic record.
+    defects unrepresentable, so there is nothing to check for them.
     """
     violations = tuple(
         (v, graph.valence(v)) for v in graph.vertices if graph.valence(v) <= 2
@@ -361,7 +344,6 @@ def validate_graph(graph: Graph) -> GraphDiagnostics:
     return GraphDiagnostics(
         connected=graph.is_connected(),
         valence_violations=violations,
-        involution_ok=True,
         rank=graph.rank,
     )
 
@@ -400,9 +382,3 @@ def parse_index_list(text: str) -> tuple[int, ...]:
     if not entries:
         raise ValueError("empty index list")
     return tuple(entries)
-
-
-def dump_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=False)
-        fh.write("\n")

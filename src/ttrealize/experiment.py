@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import Graph, format_index_list
-from .maps import GraphMap, MapChain, compose_maps, is_primitive, transition_matrix
+from .maps import GraphMap, MapChain, is_primitive, transition_matrix
 from .traintrack import (
     NONE_FOUND,
     check_train_track_morphism,
@@ -161,6 +161,8 @@ def run_experiment(rank: int, length: int, samples: int, seed: int) -> Frequency
     Per-sample seeds derive from the master seed and the sample index, so
     any evaluation order produces the same table.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     start = time.monotonic()
     table = FrequencyTable(rank=rank, length=length, samples=samples, seed=seed)
     for i in range(samples):

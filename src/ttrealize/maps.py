@@ -12,9 +12,9 @@ descend it, and a chain's powers share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import Graph, GraphError, Path, inverse, positive_label
+from .core import Graph, Path, inverse, inverse_word, is_positive, positive_label
 
 
 class MapError(ValueError):
@@ -43,7 +43,7 @@ class GraphMap:
             if not word:
                 raise MapError(f"contracted edge {label!r}")
             images[label] = word
-            images[inverse(label)] = tuple(inverse(t) for t in reversed(word))
+            images[inverse(label)] = inverse_word(word)
         if vertex_image is None:
             vertex_image = self._infer_vertex_image(graph, images)
         self.vertex_image: dict[str, str] = dict(vertex_image)
@@ -134,7 +134,7 @@ class GraphMap:
         """Map sending every edge outside ``updates`` identically to itself."""
         images = {e: (e,) for e in graph.positive_edges}
         for label, word in updates.items():
-            if not is_positive_label(label):
+            if not is_positive(label):
                 raise MapError("updates must be keyed by positive edges")
             images[label] = tuple(word)
         return cls(graph, images)
@@ -161,10 +161,6 @@ class GraphMap:
     def __repr__(self) -> str:
         longest = max(len(w) for w in self._images.values())
         return f"GraphMap({len(self.graph.positive_edges)} edges, longest image {longest})"
-
-
-def is_positive_label(label: str) -> bool:
-    return not label.startswith("~")
 
 
 def compose_maps(f: GraphMap, g: GraphMap) -> GraphMap:
@@ -223,15 +219,6 @@ class TransitionMatrix:
     def is_positive(self) -> bool:
         return all(all(x > 0 for x in row) for row in self.rows)
 
-    def column_sum(self, label: str) -> int:
-        j = self.labels.index(label)
-        return sum(row[j] for row in self.rows)
-
-    def max_column_sum(self) -> int:
-        return max(
-            sum(row[j] for row in self.rows) for j in range(len(self.labels))
-        )
-
     def power(self, t: int) -> "TransitionMatrix":
         result = TransitionMatrix.identity(self.labels)
         base = self
@@ -248,16 +235,7 @@ class TransitionMatrix:
 
 def transition_matrix(f) -> TransitionMatrix:
     """Transition matrix of a map or chain (product over chain factors)."""
-    if hasattr(f, "transition"):
-        return f.transition
-    factors = f.factors
-    labels = tuple(f.graph.positive_edges)
-    result: TransitionMatrix | None = None
-    for factor in factors:
-        m = factor.transition
-        result = m if result is None else m @ result
-    assert result is not None
-    return result
+    return f.transition
 
 
 def _single_transition_matrix(f: GraphMap, labels: tuple[str, ...]) -> TransitionMatrix:

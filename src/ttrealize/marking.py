@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, Path, inverse, tighten, tighten_word, token_key
+from .core import Graph, Path, inverse, inverse_word, tighten, tighten_word, token_key
 from .maps import GraphMap, compose_maps
 
 
@@ -94,7 +94,7 @@ def basis_loop(marking: Pi1Marking, edge: str) -> Path:
     graph = marking.graph
     up = tp[graph.init_of(edge)]
     down = tp[graph.term_of(edge)]
-    edges = up + (edge,) + tuple(inverse(t) for t in reversed(down))
+    edges = up + (edge,) + inverse_word(down)
     return Path(marking.basepoint, edges)
 
 
@@ -132,10 +132,6 @@ def pi1_automorphism(f, marking: Pi1Marking, budget: int = 2_000_000) -> dict[st
     return out
 
 
-def _invert_word(word: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(inverse(t) for t in reversed(word))
-
-
 def is_inner_endomorphism(endo: dict[str, tuple[str, ...]]) -> bool:
     """True iff the endomorphism is conjugation by a single word.
 
@@ -149,7 +145,7 @@ def is_inner_endomorphism(endo: dict[str, tuple[str, ...]]) -> bool:
     candidate_source = endo[moved[0]]
     for k in range(len(candidate_source) + 1):
         w = candidate_source[:k]
-        w_inv = _invert_word(w)
+        w_inv = inverse_word(w)
         if all(tighten_word(w + (g,) + w_inv) == endo[g] for g in gens):
             return True
     return False

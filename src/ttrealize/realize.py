@@ -10,8 +10,8 @@ its certificate bundle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .core import (
     GateStructure,
@@ -20,14 +20,14 @@ from .core import (
     canonical_index_list,
     format_index_list,
     inverse,
+    inverse_word,
     is_legal_path,
     token_key,
     validate_graph,
 )
 from .maps import GraphMap, MapChain, transition_matrix
-from .marking import Pi1Marking, build_marking, pi1_automorphism, verify_homotopy_equivalence
+from .marking import Pi1Marking, build_marking, pi1_automorphism
 from .traintrack import (
-    LEGALIZING,
     LegalizingCertificate,
     Turn,
     check_train_track_morphism,
@@ -239,207 +239,208 @@ class PathSelectors:
             incoming={e: (tuple(a), tuple(b)) for e, (a, b) in data["incoming"].items()},
         )
 
+    def words(self) -> dict[tuple[str, object], tuple[str, ...]]:
+        """Every selected path by (clause kind, key); a carrier as its whole loop."""
+        out: dict[tuple[str, object], tuple[str, ...]] = {
+            ("carrier", e): u + (e,) + up for e, (u, up) in self.carrier.items()
+        }
+        out.update((("witness", pair), w) for pair, w in self.turn_loops.items())
+        for e, (alpha, beta) in self.outgoing.items():
+            out["exit", e], out["detour", e] = alpha, beta
+        for e, (alpha, beta) in self.incoming.items():
+            out["entry", e], out["return", e] = alpha, beta
+        return out
 
-def _search_legal_word(graph, gates, starts, step, goal, max_len=128):
-    """Shortest legal word satisfying ``goal``, lexicographically least.
+    @classmethod
+    def from_words(cls, words: dict[tuple[str, object], tuple[str, ...]]) -> "PathSelectors":
+        """The inverse of ``words``: a carrier loop is cut at its edge."""
 
-    ``starts`` yields (token, state); ``step(prev, nxt, state)`` returns the
-    successor state or None to forbid; ``goal(last, state)`` is evaluated on
-    dequeued words.  States make goals a function of the queue key, so
-    visited-state pruning preserves shortest solutions.
+        def of(kind: str) -> dict:
+            return {key: w for (k, key), w in words.items() if k == kind}
+
+        detour, ret = of("detour"), of("return")
+        return cls(
+            carrier={e: (w[: w.index(e)], w[w.index(e) + 1:]) for e, w in of("carrier").items()},
+            turn_loops=of("witness"),
+            outgoing={e: (w, detour[e]) for e, w in of("exit").items()},
+            incoming={e: (w, ret[e]) for e, w in of("entry").items()},
+        )
+
+
+@dataclass(frozen=True)
+class Clause:
+    """One row of the selector table: the defining clause of one selected path.
+
+    A word w satisfies the clause when ``lead + w + trail`` is a legal path
+    from v1 whose first token passes ``start`` and whose last token passes
+    ``end`` (by default any token does), when w itself avoids ``banned``,
+    and when w crosses the edge ``once`` exactly once or the gate turn
+    ``turn`` at least once, if either is set.  Only a clause with a lead or
+    a trail token can be met by the empty word.
     """
+
+    kind: str
+    key: str | tuple[int, int]
+    banned: frozenset[str]
+    start: Callable[[str], bool] = lambda t: True
+    end: Callable[[str], bool] = lambda t: True
+    lead: tuple[str, ...] = ()
+    trail: tuple[str, ...] = ()
+    once: str | None = None
+    turn: frozenset[int] | None = None
+
+    @property
+    def name(self) -> str:
+        return f"witness{self.key}" if self.kind == "witness" else f"{self.kind}({self.key})"
+
+    @property
+    def initial(self) -> bool:
+        """The crossing state of the empty word: met when nothing is required."""
+        return self.once is None and self.turn is None
+
+    def cross(self, gates: GateStructure, state: bool, prev: str | None, nxt: str):
+        """The crossing state after appending ``nxt``: None once ``once`` is crossed twice."""
+        if nxt == self.once:
+            return None if state else True
+        if self.turn is not None and prev is not None:
+            if frozenset((gates.gate_of(inverse(prev)), gates.gate_of(nxt))) == self.turn:
+                return True
+        return state
+
+
+def selector_clauses(graph: Graph, gates: GateStructure, bp: RealizationBlueprint):
+    """The clause table: one row per selected path, in selection order.
+
+    Carriers and witnesses are loops at v1 leaving through gate 1 and
+    avoiding a1.  Outside the maximal odd case every e in gate 1 also gets
+    an exit extension (e alpha ends in gate 2) and a detour loop, and every
+    e whose reverse lies in gate 2 an entry extension (alpha e starts in
+    gate 1) and a return loop, all four avoiding the a-loops, e and ~e.
+    A path ends "in" a gate when its last edge arrives at v1 through it.
+    """
+    v1 = graph.vertices[0]
+    gate1 = gates.gate_of("c1")
+
+    def starts_in(*ids):
+        return lambda t: gates.gate_of(t) in ids
+
+    def starts_outside(*ids):
+        return lambda t: gates.gate_of(t) not in ids
+
+    def ends_in(*ids):
+        return lambda t: graph.term_of(t) == v1 and gates.gate_of(inverse(t)) in ids
+
+    def ends_outside(*ids):
+        return lambda t: graph.term_of(t) == v1 and gates.gate_of(inverse(t)) not in ids
+
+    anchor = frozenset({"a1", "~a1"})
+    rows = [
+        Clause("carrier", e, anchor | {inverse(e)}, starts_in(gate1), ends_outside(gate1), once=e)
+        for e in graph.positive_edges
+        if e != "a1"
+    ]
+    rows += [
+        Clause("witness", pair, anchor, starts_in(gate1), ends_outside(gate1), turn=frozenset(pair))
+        for pair in eligible_gate_turns(graph, gates, bp)
+    ]
+    if bp.case == CASE_MAX_ODD:
+        return rows
+    gate2 = gates.gate_of(inverse(f"c{bp.circle_length}"))
+    loops = frozenset(t for i in range(1, bp.s + 1) for t in (f"a{i}", f"~a{i}"))
+    for e in gates.gate_tokens(gate1):
+        banned = loops | {e, inverse(e)}
+        rows.append(Clause("exit", e, banned, end=ends_in(gate2), lead=(e,)))
+        rows.append(Clause("detour", e, banned, starts_outside(gate1, gate2), ends_outside(gate1)))
+    for t in gates.gate_tokens(gate2):
+        e = inverse(t)
+        banned = loops | {e, t}
+        rows.append(Clause("entry", e, banned, starts_in(gate1), trail=(e,)))
+        rows.append(Clause("return", e, banned, starts_outside(gate2), ends_outside(gate1, gate2)))
+    return rows
+
+
+def clause_violations(
+    graph: Graph, gates: GateStructure, clause: Clause, word: Sequence[str]
+) -> list[str]:
+    """How ``word`` fails ``clause``; empty when it satisfies it."""
+    word = tuple(word)
+    edges = clause.lead + word + clause.trail
+    if not word and not (clause.lead or clause.trail):
+        return ["empty"]
+    unknown = set(edges) - set(graph.directed_edges)
+    if unknown:
+        return [f"unknown edges {sorted(unknown)}"]
+    path = Path(graph.vertices[0], edges)
+    checks = [
+        (graph.path_is_valid(path), "not a path from v1"),
+        (is_legal_path(path, gates), "illegal"),
+        (clause.start(edges[0]), f"starts with {edges[0]}, outside its start gate"),
+        (clause.end(edges[-1]), f"ends with {edges[-1]}, outside its end condition"),
+        (not set(word) & clause.banned, "crosses a banned edge"),
+    ]
+    state, prev = clause.initial, None
+    for t in word:
+        state, prev = clause.cross(gates, state, prev, t), t
+        if state is None:
+            break
+    if clause.once is not None:
+        checks.append((state is not None, f"crosses {clause.once} more than once"))
+        checks.append((state is not False, f"does not cross {clause.once}"))
+    if clause.turn is not None:
+        checks.append((state, "does not cross its turn"))
+    return [message for ok, message in checks if not ok]
+
+
+def _select(graph: Graph, gates: GateStructure, clause: Clause, max_len: int = 128):
+    """The shortest word satisfying ``clause``, lexicographically least.
+
+    A breadth-first search over legal extensions that avoid the banned
+    set.  The goal depends only on the last token and the crossing state,
+    so pruning visited (token, state) pairs keeps the shortest solutions.
+    """
+    if not clause_violations(graph, gates, clause, ()):
+        return ()
+
+    def done(last: str, state) -> bool:
+        if clause.trail:
+            if clause.trail[0] not in gates.legal_continuations(last):
+                return False
+            last = clause.trail[-1]
+        return bool(state) and clause.end(last)
+
+    if clause.lead:
+        firsts = gates.legal_continuations(clause.lead[-1])
+    else:
+        firsts = [t for t in graph.edges_at(graph.vertices[0]) if clause.start(t)]
     queue = deque()
     seen = set()
-    for token, state in starts:
-        key = (token, state)
-        if key not in seen:
-            seen.add(key)
-            queue.append(((token,), state))
+    for t in firsts:
+        state = clause.cross(gates, clause.initial, None, t)
+        if t not in clause.banned and (t, state) not in seen:
+            seen.add((t, state))
+            queue.append(((t,), state))
     while queue:
         word, state = queue.popleft()
         last = word[-1]
-        if goal(last, state):
+        if done(last, state):
             return word
         if len(word) >= max_len:
             continue
         for nxt in gates.legal_continuations(last):
-            state2 = step(last, nxt, state)
-            if state2 is None:
+            if nxt in clause.banned:
                 continue
+            state2 = clause.cross(gates, state, last, nxt)
             key = (nxt, state2)
-            if key not in seen:
+            if state2 is not None and key not in seen:
                 seen.add(key)
                 queue.append((word + (nxt,), state2))
-    return None
+    raise SelectorError(f"no path satisfies {clause.name}")
 
 
 def select_paths(graph: Graph, gates: GateStructure, bp: RealizationBlueprint) -> PathSelectors:
-    v1 = graph.vertices[0]
-    l = bp.circle_length
-    gate1 = gates.gate_of("c1")
-    a_tokens = {t for i in range(1, bp.s + 1) for t in (f"a{i}", f"~a{i}")}
-
-    def carrier_for(e: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        banned = {"a1", "~a1", inverse(e)}
-
-        def starts():
-            for t in gates.gate_tokens(gate1):
-                if t not in banned:
-                    yield (t, t == e)
-
-        def step(prev, nxt, crossed):
-            if nxt in banned:
-                return None
-            if nxt == e:
-                return None if crossed else True
-            return crossed
-
-        def goal(last, crossed):
-            return (
-                crossed
-                and graph.term_of(last) == v1
-                and gates.gate_of(inverse(last)) != gate1
-            )
-
-        word = _search_legal_word(graph, gates, starts(), step, goal)
-        if word is None:
-            raise SelectorError(f"no carrier loop for edge {e!r}")
-        cut = word.index(e)
-        return word[:cut], word[cut + 1:]
-
-    def witness_for(pair: tuple[int, int]) -> tuple[str, ...]:
-        banned = {"a1", "~a1"}
-        want = frozenset(pair)
-
-        def starts():
-            for t in gates.gate_tokens(gate1):
-                if t not in banned:
-                    yield (t, False)
-
-        def step(prev, nxt, crossed):
-            if nxt in banned:
-                return None
-            if frozenset((gates.gate_of(inverse(prev)), gates.gate_of(nxt))) == want:
-                return True
-            return crossed
-
-        def goal(last, crossed):
-            return (
-                crossed
-                and graph.term_of(last) == v1
-                and gates.gate_of(inverse(last)) != gate1
-            )
-
-        word = _search_legal_word(graph, gates, starts(), step, goal)
-        if word is None:
-            raise SelectorError(f"no witness loop for gate turn {pair!r}")
-        return word
-
-    carrier = {
-        e: carrier_for(e) for e in graph.positive_edges if e != "a1"
-    }
-    turn_loops = {
-        pair: witness_for(pair) for pair in eligible_gate_turns(graph, gates, bp)
-    }
-
-    outgoing: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    incoming: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    if bp.case != CASE_MAX_ODD:
-        gate2 = gates.gate_of(inverse(f"c{l}"))
-
-        def exit_extension_for(e: str) -> tuple[str, ...]:
-            if gates.gate_of(inverse(e)) == gate2:
-                return ()
-            banned = a_tokens | {e, inverse(e)}
-
-            def starts():
-                for t in graph.edges_at(graph.term_of(e)):
-                    if t not in banned and gates.is_legal_turn(inverse(e), t):
-                        yield (t, 0)
-
-            def step(prev, nxt, state):
-                return None if nxt in banned else 0
-
-            def goal(last, state):
-                return gates.gate_of(inverse(last)) == gate2
-
-            word = _search_legal_word(graph, gates, starts(), step, goal)
-            if word is None:
-                raise SelectorError(f"no exit extension for edge {e!r}")
-            return word
-
-        def detour_loop_for(e: str) -> tuple[str, ...]:
-            banned = a_tokens | {e, inverse(e)}
-
-            def starts():
-                for t in graph.edges_at(v1):
-                    if t not in banned and gates.gate_of(t) not in (gate1, gate2):
-                        yield (t, 0)
-
-            def step(prev, nxt, state):
-                return None if nxt in banned else 0
-
-            def goal(last, state):
-                return (
-                    graph.term_of(last) == v1
-                    and gates.gate_of(inverse(last)) != gate1
-                )
-
-            word = _search_legal_word(graph, gates, starts(), step, goal)
-            if word is None:
-                raise SelectorError(f"no detour loop for edge {e!r}")
-            return word
-
-        def entry_extension_for(e: str) -> tuple[str, ...]:
-            if gates.gate_of(e) == gate1:
-                return ()
-            banned = a_tokens | {e, inverse(e)}
-
-            def starts():
-                for t in gates.gate_tokens(gate1):
-                    if t not in banned:
-                        yield (t, 0)
-
-            def step(prev, nxt, state):
-                return None if nxt in banned else 0
-
-            def goal(last, state):
-                return graph.term_of(last) == graph.init_of(e) and gates.is_legal_turn(
-                    inverse(last), e
-                )
-
-            word = _search_legal_word(graph, gates, starts(), step, goal)
-            if word is None:
-                raise SelectorError(f"no entry extension for edge {e!r}")
-            return word
-
-        def return_loop_for(e: str) -> tuple[str, ...]:
-            banned = a_tokens | {e, inverse(e)}
-
-            def starts():
-                for t in graph.edges_at(v1):
-                    if t not in banned and gates.gate_of(t) != gate2:
-                        yield (t, 0)
-
-            def step(prev, nxt, state):
-                return None if nxt in banned else 0
-
-            def goal(last, state):
-                back = gates.gate_of(inverse(last))
-                return graph.term_of(last) == v1 and back not in (gate1, gate2)
-
-            word = _search_legal_word(graph, gates, starts(), step, goal)
-            if word is None:
-                raise SelectorError(f"no return loop for edge {e!r}")
-            return word
-
-        for e in gates.gate_tokens(gate1):
-            outgoing[e] = (exit_extension_for(e), detour_loop_for(e))
-        for t in gates.gate_tokens(gate2):
-            e = inverse(t)
-            incoming[e] = (entry_extension_for(e), return_loop_for(e))
-
-    selectors = PathSelectors(carrier, turn_loops, outgoing, incoming)
+    """Every path of the clause table, searched for and then re-verified."""
+    rows = selector_clauses(graph, gates, bp)
+    selectors = PathSelectors.from_words({(c.kind, c.key): _select(graph, gates, c) for c in rows})
     verify_selectors(graph, gates, bp, selectors)
     return selectors
 
@@ -462,99 +463,16 @@ def eligible_gate_turns(graph, gates, bp) -> list[tuple[int, int]]:
 
 
 def verify_selectors(graph, gates, bp, sel: PathSelectors) -> None:
-    """Re-check every selection against its defining clause; raises on failure."""
-    v1 = graph.vertices[0]
-    l = bp.circle_length
-    gate1 = gates.gate_of("c1")
-    a_tokens = {t for i in range(1, bp.s + 1) for t in (f"a{i}", f"~a{i}")}
+    """Re-check every selection against its row of the clause table; raises on failure."""
+    words = sel.words()
     problems: list[str] = []
-
-    def check(cond: bool, message: str):
-        if not cond:
-            problems.append(message)
-
-    for e, (u, up) in sel.carrier.items():
-        loop = u + (e,) + up
-        path = Path(v1, loop)
-        check(graph.path_is_valid(path), f"carrier({e}): not a path")
-        check(graph.path_end(path) == v1, f"carrier({e}): not a loop at v1")
-        check(is_legal_path(path, gates), f"carrier({e}): illegal")
-        check(gates.gate_of(loop[0]) == gate1, f"carrier({e}): wrong start gate")
-        check(
-            gates.gate_of(inverse(loop[-1])) != gate1, f"carrier({e}): ends in gate 1"
-        )
-        check(
-            not set(loop) & {"a1", "~a1", inverse(e)},
-            f"carrier({e}): crosses a banned edge",
-        )
-        check(loop.count(e) == 1, f"carrier({e}): crosses {e} more than once")
-
-    for pair, loop in sel.turn_loops.items():
-        path = Path(v1, loop)
-        check(graph.path_is_valid(path), f"witness{pair}: not a path")
-        check(graph.path_end(path) == v1, f"witness{pair}: not a loop at v1")
-        check(is_legal_path(path, gates), f"witness{pair}: illegal")
-        check(gates.gate_of(loop[0]) == gate1, f"witness{pair}: wrong start gate")
-        check(
-            gates.gate_of(inverse(loop[-1])) != gate1, f"witness{pair}: ends in gate 1"
-        )
-        check(not set(loop) & {"a1", "~a1"}, f"witness{pair}: crosses a1")
-        crossed = {
-            frozenset((gates.gate_of(inverse(loop[k])), gates.gate_of(loop[k + 1])))
-            for k in range(len(loop) - 1)
-        }
-        check(frozenset(pair) in crossed, f"witness{pair}: does not cross its turn")
-
-    if bp.case != CASE_MAX_ODD:
-        gate2 = gates.gate_of(inverse(f"c{l}"))
-        for e, (alpha, beta) in sel.outgoing.items():
-            banned = a_tokens | {e, inverse(e)}
-            extended = Path(graph.init_of(e), (e,) + alpha)
-            check(graph.path_is_valid(extended), f"exit({e}): not a path")
-            check(is_legal_path(extended, gates), f"exit({e}): illegal")
-            check(
-                gates.gate_of(inverse(extended.edges[-1])) == gate2,
-                f"exit({e}): does not end in gate 2",
-            )
-            check(not set(alpha) & banned, f"exit({e}): crosses a banned edge")
-            bpath = Path(v1, beta)
-            check(len(beta) >= 1, f"detour({e}): empty")
-            check(graph.path_is_valid(bpath), f"detour({e}): not a path")
-            check(graph.path_end(bpath) == v1, f"detour({e}): not a loop at v1")
-            check(is_legal_path(bpath, gates), f"detour({e}): illegal")
-            check(
-                gates.gate_of(beta[0]) not in (gate1, gate2),
-                f"detour({e}): starts in gate 1 or 2",
-            )
-            check(
-                gates.gate_of(inverse(beta[-1])) != gate1,
-                f"detour({e}): ends in gate 1",
-            )
-            check(not set(beta) & banned, f"detour({e}): crosses a banned edge")
-        for e, (alpha, beta) in sel.incoming.items():
-            banned = a_tokens | {e, inverse(e)}
-            extended = Path(
-                graph.init_of(alpha[0]) if alpha else graph.init_of(e), alpha + (e,)
-            )
-            check(graph.path_is_valid(extended), f"entry({e}): not a path")
-            check(is_legal_path(extended, gates), f"entry({e}): illegal")
-            check(
-                gates.gate_of(extended.edges[0]) == gate1,
-                f"entry({e}): does not start in gate 1",
-            )
-            check(not set(alpha) & banned, f"entry({e}): crosses a banned edge")
-            bpath = Path(v1, beta)
-            check(len(beta) >= 1, f"return({e}): empty")
-            check(graph.path_is_valid(bpath), f"return({e}): not a path")
-            check(graph.path_end(bpath) == v1, f"return({e}): not a loop at v1")
-            check(is_legal_path(bpath, gates), f"return({e}): illegal")
-            check(gates.gate_of(beta[0]) != gate2, f"return({e}): starts in gate 2")
-            check(
-                gates.gate_of(inverse(beta[-1])) not in (gate1, gate2),
-                f"return({e}): ends in gate 1 or 2",
-            )
-            check(not set(beta) & banned, f"return({e}): crosses a banned edge")
-
+    for clause in selector_clauses(graph, gates, bp):
+        word = words.pop((clause.kind, clause.key), None)
+        if word is None:
+            problems.append(f"{clause.name}: missing")
+            continue
+        problems += [f"{clause.name}: {p}" for p in clause_violations(graph, gates, clause, word)]
+    problems += [f"{kind} {key}: not a row of the clause table" for kind, key in words]
     if problems:
         raise SelectorError("selector verification failed:\n" + "\n".join(problems))
 
@@ -571,9 +489,16 @@ class FactorRecord:
     inverse: GraphMap
     turn: Turn | None = None
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "map": self.map.to_json(), "inverse": self.inverse.to_json()}
 
-def _inv_word(word: Sequence[str]) -> tuple[str, ...]:
-    return tuple(inverse(t) for t in reversed(word))
+    @classmethod
+    def from_json(cls, graph: Graph, data: dict) -> "FactorRecord":
+        return cls(
+            data["name"],
+            GraphMap.from_json(graph, data["map"]),
+            GraphMap.from_json(graph, data["inverse"]),
+        )
 
 
 def build_edge_link_map(graph, sel: PathSelectors, e: str) -> FactorRecord:
@@ -589,8 +514,8 @@ def build_edge_link_map(graph, sel: PathSelectors, e: str) -> FactorRecord:
     back = GraphMap.from_updates(
         graph,
         {
-            "a1": _inv_word(up) + (inverse(e),) + _inv_word(u) + ("a1", "a1"),
-            e: _inv_word(u) + ("~a1",) + u + (e,),
+            "a1": inverse_word(up) + (inverse(e),) + inverse_word(u) + ("a1", "a1"),
+            e: inverse_word(u) + ("~a1",) + u + (e,),
         },
     )
     return FactorRecord(f"link[{e}]", fwd, back)
@@ -600,7 +525,7 @@ def build_turn_stamp_map(graph, sel: PathSelectors, pair: tuple[int, int]) -> Fa
     """Stamps one gate turn into the anchor loop's image."""
     v = sel.turn_loops[pair]
     fwd = GraphMap.from_updates(graph, {"a1": v + ("a1",)})
-    back = GraphMap.from_updates(graph, {"a1": _inv_word(v) + ("a1",)})
+    back = GraphMap.from_updates(graph, {"a1": inverse_word(v) + ("a1",)})
     return FactorRecord(f"stamp[{pair[0]},{pair[1]}]", fwd, back)
 
 
@@ -632,16 +557,16 @@ def build_turn_legalizer(
         back = GraphMap.from_updates(
             graph,
             {
-                "a1": _inv_word(c_tail)
+                "a1": inverse_word(c_tail)
                 + ("~b1",)
-                + _inv_word(c_head)
+                + inverse_word(c_head)
                 + ("a1",)
-                + _inv_word(circle)
+                + inverse_word(circle)
                 + ("a1", "a1")
-                + _inv_word(circle)
+                + inverse_word(circle)
                 + ("a1", "a1"),
                 "c1": ("~a1", "c1"),
-                "b1": _inv_word(c_head)
+                "b1": inverse_word(c_head)
                 + ("~a1",)
                 + circle
                 + ("~a1",)
@@ -658,7 +583,7 @@ def build_turn_legalizer(
         back = GraphMap.from_updates(
             graph,
             {
-                "a1": ("a1",) + _inv_word(circle) + ("d",) + circle + ("~a1",),
+                "a1": ("a1",) + inverse_word(circle) + ("d",) + circle + ("~a1",),
                 "d": ("d",) + circle + ("~a1",),
             },
         )
@@ -675,12 +600,12 @@ def build_turn_legalizer(
         back = GraphMap.from_updates(
             graph,
             {
-                a_i: (e,) + extension + (inverse(a_i),) + _inv_word(detour),
+                a_i: (e,) + extension + (inverse(a_i),) + inverse_word(detour),
                 e: detour
                 + (a_i,)
-                + _inv_word(extension)
+                + inverse_word(extension)
                 + (inverse(e), a_i)
-                + _inv_word(extension),
+                + inverse_word(extension),
             },
         )
         return FactorRecord(name, fwd, back, turn)
@@ -694,10 +619,10 @@ def build_turn_legalizer(
     back = GraphMap.from_updates(
         graph,
         {
-            a_i: _inv_word(ret) + (inverse(a_i),) + extension + (e,),
-            e: _inv_word(extension)
+            a_i: inverse_word(ret) + (inverse(a_i),) + extension + (e,),
+            e: inverse_word(extension)
             + (a_i, inverse(e))
-            + _inv_word(extension)
+            + inverse_word(extension)
             + (a_i,)
             + ret,
         },
@@ -726,11 +651,10 @@ def build_mixing_map(graph, factors: list[FactorRecord]) -> MapChain:
 
 
 def build_turn_legalizers(graph, gates, bp, sel) -> list[FactorRecord]:
-    records = [
+    return [
         build_turn_legalizer(graph, gates, bp, sel, turn)
         for turn in illegal_turns(graph, gates)
     ]
-    return records
 
 
 def build_legalizing_map(
@@ -755,6 +679,8 @@ def build_legalizing_map(
         c_max = 64 * L
     if c_max < L:
         raise ValueError(f"legalizing C_max {c_max} is below the long-turn length {L}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
     by_turn = {frozenset(rec.turn.tokens()): rec for rec in legalizers if rec.turn}
     factors = list(h.factors) + [rec.map for rec in legalizers] + list(h.factors)
     log: list[str] = []
@@ -816,14 +742,8 @@ class RealizationResult:
             "graph": self.graph.to_json(),
             "gates": self.gates.to_json(),
             "selectors": self.selectors.to_json(),
-            "mixing_factors": [
-                {"name": r.name, "map": r.map.to_json(), "inverse": r.inverse.to_json()}
-                for r in self.mixing_factors
-            ],
-            "legalizers": [
-                {"name": r.name, "map": r.map.to_json(), "inverse": r.inverse.to_json()}
-                for r in self.legalizers
-            ],
+            "mixing_factors": [r.to_json() for r in self.mixing_factors],
+            "legalizers": [r.to_json() for r in self.legalizers],
             "map_h": self.h.to_json(),
             "map_g": self.g.to_json(),
             "map_final": self.final.to_json(),
@@ -847,22 +767,8 @@ class RealizationResult:
         graph = Graph.from_json(data["graph"])
         gates = GateStructure.from_json(graph, data["gates"])
         selectors = PathSelectors.from_json(data["selectors"])
-        mixing = [
-            FactorRecord(
-                r["name"],
-                GraphMap.from_json(graph, r["map"]),
-                GraphMap.from_json(graph, r["inverse"]),
-            )
-            for r in data["mixing_factors"]
-        ]
-        legalizers = [
-            FactorRecord(
-                r["name"],
-                GraphMap.from_json(graph, r["map"]),
-                GraphMap.from_json(graph, r["inverse"]),
-            )
-            for r in data["legalizers"]
-        ]
+        mixing = [FactorRecord.from_json(graph, r) for r in data["mixing_factors"]]
+        legalizers = [FactorRecord.from_json(graph, r) for r in data["legalizers"]]
         h = MapChain.from_json(graph, data["map_h"])
         g = MapChain.from_json(graph, data["map_g"])
         final = MapChain.from_json(graph, data["map_final"])
@@ -874,7 +780,7 @@ class RealizationResult:
             verdict=cert_data["verdict"],
         )
         marking = build_marking(graph)
-        result = cls(
+        return cls(
             blueprint=bp,
             graph=graph,
             gates=gates,
@@ -890,7 +796,6 @@ class RealizationResult:
             pi1_words=data.get("pi1", {}).get("images"),
             pi1_note=data.get("pi1", {}).get("note", ""),
         )
-        return result
 
 
 def realize(

@@ -12,8 +12,8 @@ here ever materializes a composed edge image.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .core import (
     GateStructure,
@@ -22,13 +22,11 @@ from .core import (
     Path,
     canonical_index_list,
     crossed_turns,
-    inverse,
     is_legal_path,
     token_key,
 )
 from .maps import (
     ComparisonBudgetError,
-    GraphMap,
     MapChain,
     MapError,
     as_chain,
@@ -60,10 +58,6 @@ class Turn:
         a, b = sorted((self.a, self.b), key=token_key)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.a == self.b
 
     def is_legal(self, gates: GateStructure) -> bool:
         return gates.is_legal_turn(self.a, self.b)
@@ -120,7 +114,6 @@ class TrainTrackDiagnostics:
     contracted_edges: tuple[str, ...]
     illegal_images: tuple[str, ...]
     illegal_turn_images: tuple[tuple[str, str], ...]
-    method: str
 
     @property
     def ok(self) -> bool:
@@ -132,38 +125,23 @@ class TrainTrackDiagnostics:
 def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics:
     """Verify the train track morphism conditions with respect to ``gates``.
 
-    For a factored composition every distinct factor is checked directly,
-    once and in chain order; a chain of train track morphisms is again one
-    (legal edge images stay legal through maps that send legal paths to
-    legal paths), so the composite inherits condition (ii) without
-    materializing its images.  Conditions (i) and (iii) are additionally
-    checked on the composite itself.
+    Every distinct factor is checked directly, once and in chain order, and
+    a single map is its own one factor.  A chain of train track morphisms
+    is again one, so nothing is checked on the composite itself: its images
+    are nonempty, legal edge images stay legal through maps that send legal
+    paths to legal paths, and its direction map, the composite of the
+    factors' direction maps, sends legal turns to legal turns.
     """
-    factors = f.factors
-    if len(factors) > 1:
-        for factor in dict.fromkeys(factors):
-            diag = _check_single(factor, gates)
-            if not diag.ok:
-                return TrainTrackDiagnostics(
-                    diag.contracted_edges,
-                    diag.illegal_images,
-                    diag.illegal_turn_images,
-                    method="factored",
-                )
-        bad_turns = _illegal_legal_turn_images(f, gates)
-        return TrainTrackDiagnostics((), (), tuple(bad_turns), method="factored")
-    return _check_single(factors[0], gates)
-
-
-def _check_single(f: GraphMap, gates: GateStructure) -> TrainTrackDiagnostics:
-    contracted = tuple(
-        e for e in f.graph.positive_edges if f.image_length(e) < 1
-    )
-    illegal_images = tuple(
-        e for e in f.graph.positive_edges if not is_legal_path(f.image(e), gates)
-    )
-    bad_turns = _illegal_legal_turn_images(f, gates)
-    return TrainTrackDiagnostics(contracted, illegal_images, tuple(bad_turns), "direct")
+    edges = f.graph.positive_edges
+    for factor in dict.fromkeys(f.factors):
+        diag = TrainTrackDiagnostics(
+            tuple(e for e in edges if factor.image_length(e) < 1),
+            tuple(e for e in edges if not is_legal_path(factor.image(e), gates)),
+            tuple(_illegal_legal_turn_images(factor, gates)),
+        )
+        if not diag.ok:
+            return diag
+    return TrainTrackDiagnostics((), (), ())
 
 
 def _illegal_legal_turn_images(f, gates: GateStructure) -> list[tuple[str, str]]:
@@ -187,35 +165,21 @@ def is_classical_train_track(f) -> bool:
 
     The taken turns are those crossed by single edge images; they are
     closed under the direction map, and some ``f^t(e)`` is unreduced iff
-    some taken turn's direction orbit hits a degenerate pair.
+    some taken turn's direction orbit hits a degenerate pair.  For a chain,
+    the turns taken by each factor's images, mapped through the directions
+    of the factors after it, over-approximate the composite's taken turns,
+    so a clean over-approximation certifies the chain; for a single map
+    they are exactly its taken turns.
     """
     factors = f.factors
-    if len(factors) > 1:
-        # Sound for the chains built here: factor-level taken turns mapped
-        # through the remaining directions over-approximate the composite's
-        # taken turns, so a clean over-approximation certifies the chain.
-        df = direction_map(f)
-        taken = set()
-        suffix_maps = _suffix_direction_maps(factors)
-        for j, factor in enumerate(factors):
-            trans = suffix_maps[j + 1]
-            for e in factor.graph.positive_edges:
-                for (x, y) in crossed_turns(factor.image(e)):
-                    taken.add((trans[x], trans[y]))
-        return _orbits_stay_non_degenerate(taken, df, f.graph)
-    single = factors[0]
-    for e in single.graph.positive_edges:
-        path = single.image(e)
-        for (x, y) in crossed_turns(path):
-            if x == y:
-                return False
-    df = direction_map(single)
-    taken = {
-        (x, y)
-        for e in single.graph.positive_edges
-        for (x, y) in crossed_turns(single.image(e))
-    }
-    return _orbits_stay_non_degenerate(taken, df, single.graph)
+    suffix_maps = _suffix_direction_maps(factors)
+    taken = set()
+    for j, factor in enumerate(factors):
+        trans = suffix_maps[j + 1]
+        for e in factor.graph.positive_edges:
+            for (x, y) in crossed_turns(factor.image(e)):
+                taken.add((trans[x], trans[y]))
+    return _orbits_stay_non_degenerate(taken, direction_map(f), f.graph)
 
 
 def _suffix_direction_maps(factors) -> list[dict[str, str]]:
@@ -317,22 +281,20 @@ class WhiteheadGraph:
 
 
 def _crossed_gate_pairs(f, gates: GateStructure) -> set[tuple[int, int]]:
-    """Gate turns crossed by single edge images (factor union for chains)."""
-    factors = f.factors
+    """Gate turns crossed by single edge images, united over the factors.
+
+    The union stands for a chain's own crossings only when its factors fix
+    every gate, so a chain of more than one factor must.
+    """
+    factors = dict.fromkeys(f.factors)
+    if len(f.factors) > 1 and not all(fixes_all_gates(x, gates) for x in factors):
+        raise MapError("factored Whitehead computation needs gate-fixing factors")
     pairs: set[tuple[int, int]] = set()
-    if len(factors) > 1:
-        for factor in dict.fromkeys(factors):
-            if not fixes_all_gates(factor, gates):
-                raise MapError(
-                    "factored Whitehead computation needs gate-fixing factors"
-                )
-            pairs |= _crossed_gate_pairs(factor, gates)
-        return pairs
-    f0 = factors[0]
-    for e in f0.graph.positive_edges:
-        for (x, y) in crossed_turns(f0.image(e)):
-            ga, gb = gates.gate_of(x), gates.gate_of(y)
-            pairs.add((ga, gb) if ga <= gb else (gb, ga))
+    for factor in factors:
+        for e in factor.graph.positive_edges:
+            for (x, y) in crossed_turns(factor.image(e)):
+                ga, gb = gates.gate_of(x), gates.gate_of(y)
+                pairs.add((ga, gb) if ga <= gb else (gb, ga))
     return pairs
 
 
@@ -451,13 +413,15 @@ def long_turn_image(g, lt: LongTurn, budget: int = 1_000_000) -> LongTurn | None
     Returns None when one branch image is a subpath of the other (the long
     turn is not g-long).  Branch lengths of the image may differ; truncate
     to the shorter one when a fixed branch length is needed downstream.
+    The branch images are spelled out by ``apply_path``, which for a chain
+    keeps its own letter budget as well.
     """
     la = g.word_image_length(lt.branch_a.edges)
     lb = g.word_image_length(lt.branch_b.edges)
     if max(la, lb) > budget:
         raise MapError("long turn image exceeds materialization budget")
-    wa = _materialized_word(g, lt.branch_a.edges)
-    wb = _materialized_word(g, lt.branch_b.edges)
+    wa = g.apply_path(lt.branch_a).edges
+    wb = g.apply_path(lt.branch_b).edges
     cut = 0
     limit = min(len(wa), len(wb))
     while cut < limit and wa[cut] == wb[cut]:
@@ -467,16 +431,6 @@ def long_turn_image(g, lt: LongTurn, budget: int = 1_000_000) -> LongTurn | None
     graph = g.graph
     start = graph.init_of(wa[cut])
     return LongTurn(Path(start, tuple(wa[cut:])), Path(start, tuple(wb[cut:])))
-
-
-def _materialized_word(g, word: Sequence[str]) -> list[str]:
-    out: list[str] = []
-    for token in word:
-        if isinstance(g, MapChain):
-            out.extend(g.image_window(token, 0, g.image_length(token)))
-        else:
-            out.extend(g.image_edges(token))
-    return out
 
 
 # -- the legalizing verifier ---------------------------------------------------

@@ -114,6 +114,14 @@ def test_out_of_range_search_bounds_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["certify", str(out), "--inp-length-bound", "0"]) == 2
     assert "length_bound must be at least 1" in capsys.readouterr().err
+    assert main(["realize", "--rank", "3", "--index-list", "1/2", "--max-rounds", "-1"]) == 2
+    assert "max_rounds must be at least 0" in capsys.readouterr().err
+
+
+def test_experiment_negative_samples_exits_two(capsys):
+    code = main(["experiment", "--rank", "3", "--length", "5", "--samples", "-2"])
+    assert code == 2
+    assert "samples must be at least 0" in capsys.readouterr().err
 
 
 def test_legalizing_cmax_below_long_turn_length_exits_two(capsys):

@@ -1,5 +1,8 @@
 """Blueprints, the gated graph, selectors, factor maps, the full pipeline."""
 
+import dataclasses
+import re
+
 import pytest
 
 from ttrealize.core import Path, canonical_index_list, inverse, validate_graph
@@ -20,6 +23,7 @@ from ttrealize.realize import (
     CASE_ODD,
     InvalidIndexList,
     RealizationResult,
+    SelectorError,
     build_graph,
     build_legalizing_map,
     build_mixing_factors,
@@ -28,6 +32,7 @@ from ttrealize.realize import (
     realize,
     select_paths,
     validate_and_classify,
+    verify_selectors,
 )
 
 
@@ -139,6 +144,67 @@ def test_selectors_are_deterministic(even_graph):
     first = select_paths(graph, gates, bp)
     second = select_paths(graph, gates, bp)
     assert first.to_json() == second.to_json()
+
+
+def _crossed_gate_turns(gates, loop):
+    return {
+        frozenset((gates.gate_of(inverse(loop[k])), gates.gate_of(loop[k + 1])))
+        for k in range(len(loop) - 1)
+    }
+
+
+def _plant_missing_turn(sel, gates):
+    """Give one witness the loop of another witness that misses its turn."""
+    for pair in sel.turn_loops:
+        for loop in sel.turn_loops.values():
+            if frozenset(pair) not in _crossed_gate_turns(gates, loop):
+                return {"turn_loops": {**sel.turn_loops, pair: loop}}, f"witness{pair}"
+    raise AssertionError("every witness loop crosses every turn")
+
+
+# Rank 5, [1/2, 1/2] (even case, loops a1..a3, circle c1 c2): each plant
+# breaks one clause of one selector and keeps the path a valid edge path.
+PLANTS = {
+    "carrier crosses e twice": (
+        lambda sel, gates: ({"carrier": {**sel.carrier, "c2": (("c1",), ("c1", "c2"))}}, "carrier(c2)"),
+        "more than once",
+    ),
+    "witness misses its turn": (_plant_missing_turn, "turn"),
+    "exit does not end in gate 2": (
+        lambda sel, gates: ({"outgoing": {**sel.outgoing, "c1": ((), sel.outgoing["c1"][1])}}, "exit(c1)"),
+        "end",
+    ),
+    "detour starts in gate 1": (
+        lambda sel, gates: ({"outgoing": {**sel.outgoing, "a1": ((), ("c1", "c2"))}}, "detour(a1)"),
+        "start",
+    ),
+    "entry starts outside gate 1": (
+        lambda sel, gates: ({"incoming": {**sel.incoming, "c2": ((), sel.incoming["c2"][1])}}, "entry(c2)"),
+        "start",
+    ),
+    "return ends in gate 2": (
+        lambda sel, gates: ({"incoming": {**sel.incoming, "a1": ((), ("c1", "c2"))}}, "return(a1)"),
+        "end",
+    ),
+    "carrier crosses the anchor loop": (
+        lambda sel, gates: ({"carrier": {**sel.carrier, "c2": (("c1",), ("a1",))}}, "carrier(c2)"),
+        "banned",
+    ),
+}
+
+
+@pytest.mark.parametrize("plant", list(PLANTS))
+def test_verify_selectors_names_each_violated_clause(plant):
+    bp = validate_and_classify(5, (1, 1))
+    graph, gates = build_graph(bp)
+    sel = select_paths(graph, gates, bp)
+    verify_selectors(graph, gates, bp, sel)
+    make, keyword = PLANTS[plant]
+    changes, clause = make(sel, gates)
+    with pytest.raises(SelectorError) as info:
+        verify_selectors(graph, gates, bp, dataclasses.replace(sel, **changes))
+    message = str(info.value)
+    assert re.search(rf"^{re.escape(clause)}: .*{keyword}", message, re.M), message
 
 
 # -- factor maps -------------------------------------------------------------------
