@@ -3,10 +3,12 @@
 The full certificate route checks the structural hypotheses (positive
 transition matrix and connected gate-Whitehead graphs for the mixing map,
 a valid legalizing certificate for the second factor, vertices and gates
-fixed); together these guarantee a fully irreducible automorphism whose
-stable index list is the gate index list, with no periodic Nielsen paths.
-The conditional tier grades maps that only offer primitivity, Whitehead
-connectivity and a clean bounded Nielsen-path search: honest but weaker.
+fixed, the composed map made of exactly these factors); together these
+guarantee a fully irreducible automorphism whose stable index list is the
+gate index list, with no periodic Nielsen paths.  The conditional tier
+grades maps that only offer primitivity, Whitehead connectivity and a
+clean bounded Nielsen-path search: honest but weaker.  Positivity and
+primitivity are read from sign patterns, never from exact matrix products.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .core import (
     inverse,
     tighten_word,
 )
-from .maps import MapError, as_chain, transition_matrix, is_primitive
+from .maps import MapError, as_chain, is_positive_pattern, is_primitive
 from .traintrack import (
     LEGALIZING,
     NONE_FOUND,
@@ -79,7 +81,7 @@ def certify_realization(
     notes: list[str] = list(result.blueprint.notes)
     h, g, final = result.h, result.g, result.final
 
-    h_matrix_positive = transition_matrix(h).is_positive
+    h_matrix_positive = is_positive_pattern(h.sign_pattern)
     h_whitehead = whitehead_graphs(h, gates)
     h_wh_connected = all(w.is_connected() for w in h_whitehead.values())
     legalizing_ok = (
@@ -87,10 +89,18 @@ def certify_realization(
         and result.legalizing_cert.verdict == LEGALIZING
     )
     g_fixes = g.fixes_all_vertices() and fixes_all_gates(g, gates)
-    structural = h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
+    # identity checks for decoded documents, whose equal factors are one instance
+    composed = final.factors == g.factors + h.factors
+    if not composed:
+        notes.append("map_final is not map_g followed by map_h")
+    mixed = h.factors == tuple(rec.map for rec in result.mixing_factors) * 2
+    if not mixed:
+        notes.append("map_h is not the mixing factors applied twice")
+    structural = (h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
+                  and composed and mixed)
 
     final_tt = check_train_track_morphism(final, gates).ok
-    primitive, witness = is_primitive(transition_matrix(final))
+    primitive, witness = is_primitive(final.sign_pattern)
     final_whitehead = whitehead_graphs(final, gates)
     wh_by_vertex = {v: w.is_connected() for v, w in final_whitehead.items()}
     inp = find_periodic_inps(
@@ -166,15 +176,15 @@ def stable_index_list(
 
 
 def expanding_power(f, bound: int = 8) -> int | None:
-    """Least k <= bound with |f^k(e)| >= 2 for every edge, else None."""
-    m = transition_matrix(f)
-    power = m
+    """Least k <= bound with |f^k(e)| >= 2 for every edge, else None.
+
+    Images are never tightened, so |f^k(e)| is the column sum of M^k.
+    """
+    chain = as_chain(f)
     for k in range(1, bound + 1):
-        if all(
-            sum(row[j] for row in power.rows) >= 2 for j in range(len(m.labels))
-        ):
+        power = chain.power(k)
+        if all(power.image_length(e) >= 2 for e in f.graph.positive_edges):
             return k
-        power = power @ m
     return None
 
 

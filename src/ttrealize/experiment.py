@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import Graph, format_index_list
-from .maps import GraphMap, MapChain, is_primitive, transition_matrix
+from .maps import GraphMap, MapChain, is_primitive
 from .traintrack import (
     NONE_FOUND,
     check_train_track_morphism,
@@ -88,7 +88,7 @@ def grade_sample(chain: MapChain, materialize_budget: int = 2_000_000) -> Sample
     gates = intrinsic_gate_structure(f)
     if not check_train_track_morphism(f, gates).ok:
         return SampleGrade(CATEGORY_OTHER, None, False, False, None)
-    primitive, _ = is_primitive(transition_matrix(f))
+    primitive, _ = is_primitive(chain.sign_pattern)
     wh = whitehead_graphs(f, gates)["v1"].is_connected()
     inp = find_periodic_inps(chain.power(power), gates)
     doubled = gates.gate_count("v1") - 2

@@ -1,5 +1,8 @@
 """Graph self-maps: materialized maps, factored compositions, transition matrices.
 
+Exact transition matrices are the reference; production code asks only
+sign questions (positivity, primitivity), which integer bitsets answer.
+
 A ``GraphMap`` stores explicit edge images.  A ``MapChain`` represents a
 composition of graph maps by its factor list only: compositions built in
 this package routinely have edge images with billions of letters, so a
@@ -12,6 +15,7 @@ descend it, and a chain's powers share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .core import Graph, Path, inverse, inverse_word, is_positive, positive_label
@@ -52,15 +56,24 @@ class GraphMap:
         self.touched_tokens = frozenset(
             t for t, w in images.items() if w != (t,)
         )
-        self._matrix: "TransitionMatrix | None" = None
 
-    @property
-    def transition(self) -> "TransitionMatrix":
-        if self._matrix is None:
-            self._matrix = _single_transition_matrix(
-                self, tuple(self.graph.positive_edges)
-            )
-        return self._matrix
+    @cached_property
+    def sign_columns(self) -> tuple[int, dict[int, int]]:
+        """(mask, columns): the moved columns of the sign pattern, as bitsets.
+
+        Bit i stands for ``graph.positive_edges[i]``; ``columns[1 << j]``
+        holds the edges that the image of a moved edge j crosses, and
+        ``mask`` the moved edges.  Every other column is the identity's.
+        """
+        bit = {}
+        for i, e in enumerate(self.graph.positive_edges):
+            bit[e] = bit[inverse(e)] = 1 << i
+        columns = {
+            bit[e]: sum({bit[t] for t in self._images[e]})
+            for e in self.graph.positive_edges
+            if e in self.touched_tokens
+        }
+        return (sum(columns), columns)
 
     @staticmethod
     def _infer_vertex_image(graph: Graph, images) -> dict[str, str]:
@@ -145,8 +158,13 @@ class GraphMap:
         return {"images": {e: list(self._images[e]) for e in self.graph.positive_edges}}
 
     @classmethod
-    def from_json(cls, graph: Graph, data: dict) -> "GraphMap":
-        return cls(graph, {e: tuple(w) for e, w in data["images"].items()})
+    def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "GraphMap":
+        """Decode a map; with ``memo``, equal image lists decode to one instance."""
+        key = tuple((e, tuple(w)) for e, w in data["images"].items())
+        memo = {} if memo is None else memo
+        if key not in memo:
+            memo[key] = cls(graph, dict(key))
+        return memo[key]
 
     def __eq__(self, other) -> bool:
         return (
@@ -229,13 +247,15 @@ class TransitionMatrix:
             t >>= 1
         return result
 
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels), "rows": [list(r) for r in self.rows]}
-
 
 def transition_matrix(f) -> TransitionMatrix:
-    """Transition matrix of a map or chain (product over chain factors)."""
-    return f.transition
+    """Exact transition matrix of a map or chain: the product over its factors."""
+    chain = as_chain(f)
+    labels = tuple(f.graph.positive_edges)
+    result = TransitionMatrix.identity(labels)
+    for factor in chain.factors:
+        result = _single_transition_matrix(factor, labels) @ result
+    return result.power(chain.copies)
 
 
 def _single_transition_matrix(f: GraphMap, labels: tuple[str, ...]) -> TransitionMatrix:
@@ -250,40 +270,44 @@ def _single_transition_matrix(f: GraphMap, labels: tuple[str, ...]) -> Transitio
     return TransitionMatrix(labels, rows)
 
 
-def is_primitive(m: TransitionMatrix) -> tuple[bool, int | None]:
+def is_positive_pattern(columns: Sequence[int]) -> bool:
+    """Every entry of a sign pattern (column bitsets) is set."""
+    full = (1 << len(columns)) - 1
+    return all(col == full for col in columns)
+
+
+def is_primitive(m: TransitionMatrix | Sequence[int]) -> tuple[bool, int | None]:
     """Least t with M^t entrywise positive, over the boolean semiring.
 
-    The Wielandt bound (n-1)^2 + 1 makes the search complete: a primitive
+    ``m`` is an exact matrix, read by rows, or a sign pattern as column
+    bitsets; M and its transpose have the same positive powers.  The
+    Wielandt bound (n-1)^2 + 1 makes the search complete: a primitive
     n x n matrix always has a positive power within it.
     """
-    n = len(m.labels)
+    if isinstance(m, TransitionMatrix):
+        m = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in m.rows]
+    n = len(m)
     if n == 0:
         return (False, None)
-    full = (1 << n) - 1
-    base = [
-        sum(1 << j for j, x in enumerate(row) if x > 0) for row in m.rows
-    ]
     bound = (n - 1) ** 2 + 1
-    current = list(base)
+    current = m
     for t in range(1, bound + 1):
         if t > 1:
-            current = _bool_mul(current, base, n)
-        if all(r == full for r in current):
+            current = _bool_mul(current, m)
+        if is_positive_pattern(current):
             return (True, t)
     return (False, None)
 
 
-def _bool_mul(a: list[int], b: list[int], n: int) -> list[int]:
+def _bool_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Entry j is the union of b[i] over the bits i of a[j]."""
     out = []
-    for i in range(n):
+    for bits in a:
         row = 0
-        bits = a[i]
-        j = 0
         while bits:
-            if bits & 1:
-                row |= b[j]
-            bits >>= 1
-            j += 1
+            low = bits & -bits
+            row |= b[low.bit_length() - 1]
+            bits ^= low
         out.append(row)
     return out
 
@@ -350,6 +374,25 @@ class _ChainTable:
             self.lengths.append(vec)
         return self.lengths
 
+    @cached_property
+    def sign_pattern(self) -> tuple[int, ...]:
+        """One pass's sign pattern, composed factor by factor: a factor
+        rewrites only the columns that cross an edge it moves, dropping
+        those edges and taking in their images."""
+        columns = [1 << j for j in range(len(self.graph.positive_edges))]
+        for f in self.factors:
+            mask, moved = f.sign_columns
+            for j, col in enumerate(columns):
+                hit = col & mask
+                if hit:
+                    col &= ~mask
+                    while hit:
+                        low = hit & -hit
+                        col |= moved[low]
+                        hit ^= low
+                    columns[j] = col
+        return tuple(columns)
+
     def spell(self, copies: int) -> list[list[list[str] | None]]:
         """The spelled-out small subtrees, extended to ``copies`` passes."""
         while len(self.letters) <= copies:
@@ -389,7 +432,6 @@ class MapChain:
         self.vertex_image = vmap
         self._table = _ChainTable(graph, self.factors)
         self._suffix_lengths: list[list[int]] | None = None
-        self._matrix: TransitionMatrix | None = None
 
     def power(self, p: int) -> "MapChain":
         """The chain run ``p`` times over, sharing this chain's table.
@@ -397,6 +439,8 @@ class MapChain:
         The view answers image queries (lengths, windows, directions,
         comparisons) for the p-fold composite; its ``factors`` stay one pass.
         """
+        if p < 1:
+            raise ValueError(f"chain power must be at least 1, got {p}")
         if p == 1:
             return self
         view = MapChain(self.graph, self.factors)
@@ -410,14 +454,17 @@ class MapChain:
 
     @property
     def transition(self) -> TransitionMatrix:
-        if self._matrix is None:
-            result: TransitionMatrix | None = None
-            for factor in self.factors:
-                m = factor.transition
-                result = m if result is None else m @ result
-            assert result is not None
-            self._matrix = result if self.copies == 1 else result.power(self.copies)
-        return self._matrix
+        return transition_matrix(self)
+
+    @cached_property
+    def sign_pattern(self) -> tuple[int, ...]:
+        """The sign pattern of ``transition`` as column bitsets, never
+        forming exact entries: bit i of entry j is set when the image of
+        ``graph.positive_edges[j]`` crosses edge i."""
+        base = pattern = self._table.sign_pattern
+        for _ in range(self.copies - 1):
+            pattern = _bool_mul(pattern, base)
+        return tuple(pattern)
 
     def fixes_all_vertices(self) -> bool:
         return all(self.vertex_image[v] == v for v in self.graph.vertices)
@@ -514,8 +561,8 @@ class MapChain:
         return {"factors": [f.to_json() for f in self.factors]}
 
     @classmethod
-    def from_json(cls, graph: Graph, data: dict) -> "MapChain":
-        return cls(graph, [GraphMap.from_json(graph, d) for d in data["factors"]])
+    def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "MapChain":
+        return cls(graph, [GraphMap.from_json(graph, d, memo) for d in data["factors"]])
 
     def __repr__(self) -> str:
         return f"MapChain({len(self.factors)} factors)"

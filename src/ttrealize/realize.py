@@ -25,7 +25,7 @@ from .core import (
     token_key,
     validate_graph,
 )
-from .maps import GraphMap, MapChain, transition_matrix
+from .maps import GraphMap, MapChain, is_positive_pattern
 from .marking import Pi1Marking, build_marking, pi1_automorphism
 from .traintrack import (
     LegalizingCertificate,
@@ -493,11 +493,11 @@ class FactorRecord:
         return {"name": self.name, "map": self.map.to_json(), "inverse": self.inverse.to_json()}
 
     @classmethod
-    def from_json(cls, graph: Graph, data: dict) -> "FactorRecord":
+    def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "FactorRecord":
         return cls(
             data["name"],
-            GraphMap.from_json(graph, data["map"]),
-            GraphMap.from_json(graph, data["inverse"]),
+            GraphMap.from_json(graph, data["map"], memo),
+            GraphMap.from_json(graph, data["inverse"], memo),
         )
 
 
@@ -767,11 +767,13 @@ class RealizationResult:
         graph = Graph.from_json(data["graph"])
         gates = GateStructure.from_json(graph, data["gates"])
         selectors = PathSelectors.from_json(data["selectors"])
-        mixing = [FactorRecord.from_json(graph, r) for r in data["mixing_factors"]]
-        legalizers = [FactorRecord.from_json(graph, r) for r in data["legalizers"]]
-        h = MapChain.from_json(graph, data["map_h"])
-        g = MapChain.from_json(graph, data["map_g"])
-        final = MapChain.from_json(graph, data["map_final"])
+        # one decode, and one validation, per distinct factor
+        memo: dict = {}
+        mixing = [FactorRecord.from_json(graph, r, memo) for r in data["mixing_factors"]]
+        legalizers = [FactorRecord.from_json(graph, r, memo) for r in data["legalizers"]]
+        h = MapChain.from_json(graph, data["map_h"], memo)
+        g = MapChain.from_json(graph, data["map_g"], memo)
+        final = MapChain.from_json(graph, data["map_final"], memo)
         cert_data = data["legalizing"]
         cert = LegalizingCertificate(
             branch_length=cert_data["C"],
@@ -824,7 +826,7 @@ def realize(
         if not rec.map.fixes_all_vertices() or not fixes_all_gates(rec.map, gates):
             raise SelectorError(f"factor {rec.name} moves a vertex or a gate")
     h = build_mixing_map(graph, mixing)
-    if not transition_matrix(h).is_positive:
+    if not is_positive_pattern(h.sign_pattern):
         raise SelectorError("mixing map transition matrix is not positive")
     if any(h.image_length(e) < 2 for e in graph.positive_edges):
         raise SelectorError("mixing map fails the length-2 expansion requirement")

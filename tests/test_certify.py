@@ -1,11 +1,14 @@
 """Certification tiers, stable index lists, conjugacy-class cross-checks."""
 
 import dataclasses
+import json
 
 import pytest
 
+from ttrealize.cli import main
 from ttrealize.core import Graph, tighten_word
-from ttrealize.maps import GraphMap, MapChain, MapError, compose_maps
+from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix, compose_maps
+from ttrealize.realize import RealizationResult, realize
 from ttrealize.traintrack import LegalizingCertificate
 from ttrealize.certify import (
     CONDITIONAL,
@@ -139,3 +142,45 @@ def test_report_json_shape(even_instance):
     assert set(data["whitehead"]) == set(even_instance.graph.vertices)
     assert data["index_list"] == ["1", "1", "1", "1/2", "1/2"]
     assert data["inp"]["verdict"] == "none_found"
+
+
+@pytest.mark.parametrize("field", ["map_final", "map_g"])
+def test_tampered_document_loses_the_structural_route(tmp_path, field):
+    """A document whose composed map is not g followed by h does not get
+    the full certificate, whatever its stored legalizing verdict says."""
+    doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
+    doc[field] = doc["map_h"]
+    report = certify_realization(RealizationResult.from_json(doc))
+    assert report.level != FULL_THEOREM
+    assert "map_final is not map_g followed by map_h" in report.notes
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path)]) == 3
+
+
+def test_read_path_multiplies_no_matrices_and_decodes_each_factor_once(monkeypatch):
+    calls = []
+    matmul = TransitionMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(TransitionMatrix, "__matmul__", counted)
+    doc = realize(4, (1, 2)).to_json()
+    del doc["report"]  # recomputed by certify, never read back
+    text = json.dumps(doc, sort_keys=True)
+    decoded = RealizationResult.from_json(json.loads(text))
+    report = certify_realization(decoded)
+    assert report.level == FULL_THEOREM
+    assert calls == []
+
+    final = decoded.final.factors
+    instances = {id(f): f for f in final}
+    assert len(instances) == len(set(final))
+    shared = {f: f for f in final}
+    for f in decoded.h.factors + decoded.g.factors:
+        assert shared[f] is f
+    for rec in decoded.mixing_factors:
+        assert shared[rec.map] is rec.map
+    assert json.dumps(decoded.to_json(), sort_keys=True) == text

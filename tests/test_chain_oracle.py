@@ -5,20 +5,25 @@ a random graph (so most levels leave a token alone), the same mixed with
 dense random self-maps, and positive rose chains from the experiment's
 sampler.  Each chain and each of its powers is checked against the
 composed ``GraphMap`` on lengths, directions, letter windows, word windows
-and image comparison.
+and image comparison, and on the sign algebra: the sign pattern, the
+primitivity verdict and witness, and the least expanding power.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from ttrealize.certify import expanding_power
 from ttrealize.core import Graph, inverse
 from ttrealize.experiment import sample_positive_automorphism
 from ttrealize.maps import (
     GraphMap,
     MapChain,
+    TransitionMatrix,
     compare_image_words,
     compose_maps,
+    is_primitive,
+    transition_matrix,
     word_image_window,
 )
 from test_maps import random_graph, random_self_map
@@ -116,6 +121,29 @@ def check_against(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
             assert outcome == ("diverge", common, da[common], db[common])
 
 
+def exact_columns(m: TransitionMatrix) -> tuple[int, ...]:
+    return tuple(
+        sum(1 << i for i, row in enumerate(m.rows) if row[j])
+        for j in range(len(m.labels))
+    )
+
+
+def brute_expanding_power(m: TransitionMatrix, bound: int = 8):
+    power = m
+    for k in range(1, bound + 1):
+        if all(sum(row[j] for row in power.rows) >= 2 for j in range(len(m.labels))):
+            return k
+        power = power @ m
+    return None
+
+
+def check_signs(chain: MapChain, dense: GraphMap) -> None:
+    exact = transition_matrix(dense)
+    assert chain.sign_pattern == exact_columns(exact)
+    assert is_primitive(chain.sign_pattern) == is_primitive(exact)
+    assert expanding_power(chain) == brute_expanding_power(exact)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["sparse", "mixed", "rose"]),
@@ -129,3 +157,4 @@ def test_chain_and_powers_match_materialized_maps(kind, seed, length):
         view = chain.power(p)
         assert view.vertex_image == dense.vertex_image
         check_against(view, dense, rng)
+        check_signs(view, dense)

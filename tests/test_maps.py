@@ -205,3 +205,10 @@ def test_map_json_round_trip(rose2):
     chain = MapChain(rose2, [f, f])
     clone = MapChain.from_json(rose2, chain.to_json())
     assert clone.to_json() == chain.to_json()
+
+
+def test_chain_power_below_one_is_rejected(rose2):
+    chain = MapChain(rose2, [fib_map(rose2)])
+    for p in (0, -1):
+        with pytest.raises(ValueError):
+            chain.power(p)
