@@ -23,7 +23,6 @@ from .core import (
 )
 from .maps import MapError, as_chain, is_positive_pattern, is_primitive
 from .traintrack import (
-    LEGALIZING,
     NONE_FOUND,
     InpSearchResult,
     check_train_track_morphism,
@@ -33,6 +32,7 @@ from .traintrack import (
     intrinsic_gate_structure,
     is_classical_train_track,
     periodic_vertices,
+    verify_legalizing,
     whitehead_graphs,
 )
 
@@ -84,10 +84,11 @@ def certify_realization(
     h_matrix_positive = is_positive_pattern(h.sign_pattern)
     h_whitehead = whitehead_graphs(h, gates)
     h_wh_connected = all(w.is_connected() for w in h_whitehead.values())
-    legalizing_ok = (
-        result.legalizing_cert is not None
-        and result.legalizing_cert.verdict == LEGALIZING
-    )
+    # the stored verdict is re-derived, never trusted
+    c = result.legalizing_cert.branch_length
+    legalizing_ok = c >= result.blueprint.long_turn_length and verify_legalizing(g, gates, c).ok
+    if not legalizing_ok:
+        notes.append(f"map_g is not legalizing at the stored C = {c}")
     g_fixes = g.fixes_all_vertices() and fixes_all_gates(g, gates)
     # identity checks for decoded documents, whose equal factors are one instance
     composed = final.factors == g.factors + h.factors

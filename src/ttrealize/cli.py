@@ -11,6 +11,7 @@ import json
 import sys
 
 from .core import format_index_entry, format_index_list, parse_index_list
+from .realize import enumerate_admissible
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,32 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--out", type=str, default=None)
     p_enum.add_argument("--format", choices=("json", "text"), default="json")
     return parser
-
-
-def enumerate_admissible(rank: int) -> list[tuple[int, ...]]:
-    """Every admissible doubled index list for the rank, canonically ordered.
-
-    These are the partitions of each total in [1, 2*rank - 3] into positive
-    parts, listed as non-increasing tuples.
-    """
-    if rank < 3:
-        raise ValueError("rank must be at least 3")
-    out: list[tuple[int, ...]] = []
-    for total in range(1, 2 * rank - 2):
-        out.extend(_partitions(total))
-    return out
-
-
-def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
-    if total == 0:
-        return [()]
-    if largest is None:
-        largest = total
-    result = []
-    for first in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - first, first):
-            result.append((first,) + rest)
-    return result
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -8,8 +8,8 @@ composition of graph maps by its factor list only: compositions built in
 this package routinely have edge images with billions of letters, so a
 chain never materializes them.  Instead one table per factor list holds
 the expansion tree restricted to the factors that move each token, with
-exact (big integer) lengths; windows, directions and image comparisons
-descend it, and a chain's powers share it.
+exact (big integer) lengths; windows, directions, image comparisons and
+crossed turns read it, and a chain's powers share it.
 """
 
 from __future__ import annotations
@@ -125,9 +125,6 @@ class GraphMap:
         for token in path.edges:
             edges.extend(self._images[token])
         return Path(self.vertex_image[path.start], tuple(edges))
-
-    def image_window(self, token: str, start: int, count: int) -> list[str]:
-        return list(self._images[token][start:start + count])
 
     def word_image_length(self, word: Sequence[str]) -> int:
         return sum(len(self._images[t]) for t in word)
@@ -393,6 +390,34 @@ class _ChainTable:
                     columns[j] = col
         return tuple(columns)
 
+    @cached_property
+    def crossed_turns(self) -> frozenset[tuple[str, str]]:
+        """The turns crossed by one pass's positive edge images, as
+        (inverse(x), y) for consecutive letters x, y: first and last letters
+        below each node, then the seams between consecutive children of the
+        nodes those images reach."""
+        if self.kids is None:
+            self._build()
+        tokens, kids = self.tokens, self.kids
+        # letters as token ids; the seams are spelled as turns at the end
+        first = list(range(len(tokens)))
+        last = first[:]
+        for ks in kids[len(tokens):]:
+            first.append(first[ks[0]])
+            last.append(last[ks[-1]])
+        reached = [False] * len(kids)
+        for e in self.graph.positive_edges:
+            reached[self.root[self.index[e]]] = True
+        seams = set()
+        for n in range(len(kids) - 1, len(tokens) - 1, -1):
+            if reached[n]:
+                ks = kids[n]
+                for a, b in zip(ks, ks[1:]):
+                    seams.add((last[a], first[b]))
+                for k in ks:
+                    reached[k] = True
+        return frozenset((inverse(tokens[x]), tokens[y]) for x, y in seams)
+
     def spell(self, copies: int) -> list[list[list[str] | None]]:
         """The spelled-out small subtrees, extended to ``copies`` passes."""
         while len(self.letters) <= copies:
@@ -466,6 +491,14 @@ class MapChain:
             pattern = _bool_mul(pattern, base)
         return tuple(pattern)
 
+    @property
+    def crossed_turns(self) -> frozenset[tuple[str, str]]:
+        """The turns crossed by the composite's positive edge images, exactly
+        as ``core.crossed_turns`` reads them off the materialized map."""
+        if self.copies > 1:
+            raise MapError("crossed turns are read for one pass only")
+        return self._table.crossed_turns
+
     def fixes_all_vertices(self) -> bool:
         return all(self.vertex_image[v] == v for v in self.graph.vertices)
 
@@ -532,16 +565,6 @@ class MapChain:
                 s = 0
             stack.extend(reversed(segs))
         return out
-
-    def apply_path(self, path: Path, budget: int = 2_000_000) -> Path:
-        """Materialized image path; refuses outputs beyond ``budget`` letters."""
-        total = self.word_image_length(path.edges)
-        if total > budget:
-            raise MapError(f"image has {total} letters, over the budget {budget}")
-        edges: list[str] = []
-        for token in path.edges:
-            edges.extend(self.image_window(token, 0, self.image_length(token)))
-        return Path(self.vertex_image[path.start], tuple(edges))
 
     def materialize(self, budget: int = 2_000_000) -> GraphMap:
         total = sum(self.image_length(e) for e in self.graph.positive_edges)

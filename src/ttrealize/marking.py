@@ -109,12 +109,11 @@ def path_to_word(marking: Pi1Marking, path: Path) -> tuple[str, ...]:
     return tighten_word(word)
 
 
-def pi1_automorphism(f, marking: Pi1Marking, budget: int = 2_000_000) -> dict[str, tuple[str, ...]]:
+def pi1_automorphism(f: GraphMap, marking: Pi1Marking) -> dict[str, tuple[str, ...]]:
     """The endomorphism induced on pi_1 by a basepoint-fixing map.
 
-    Returns generator token -> reduced word of generator tokens.  Maps are
-    applied materialized; compositions whose images exceed ``budget``
-    letters raise rather than silently truncating.
+    Returns generator token -> reduced word of generator tokens, read off
+    the materialized images of the basis loops.
     """
     base = marking.basepoint
     if f.vertex_image[base] != base:
@@ -123,11 +122,7 @@ def pi1_automorphism(f, marking: Pi1Marking, budget: int = 2_000_000) -> dict[st
     for e in marking.graph.positive_edges:
         if e not in marking.basis:
             continue
-        loop = basis_loop(marking, e)
-        if hasattr(f, "materialize"):
-            image = f.apply_path(loop, budget=budget)
-        else:
-            image = f.apply_path(loop)
+        image = f.apply_path(basis_loop(marking, e))
         out[marking.basis[e]] = path_to_word(marking, image)
     return out
 

@@ -26,7 +26,7 @@ from .core import (
     validate_graph,
 )
 from .maps import GraphMap, MapChain, is_positive_pattern
-from .marking import Pi1Marking, build_marking, pi1_automorphism
+from .marking import Pi1Marking, build_marking
 from .traintrack import (
     LegalizingCertificate,
     Turn,
@@ -154,6 +154,32 @@ def validate_and_classify(rank: int, entries: Sequence[int]) -> RealizationBluep
         germ_pairing=pairing,
         notes=tuple(notes),
     )
+
+
+def enumerate_admissible(rank: int) -> list[tuple[int, ...]]:
+    """Every admissible doubled index list for the rank, canonically ordered.
+
+    These are the partitions of each total in [1, 2*rank - 3] into positive
+    parts, listed as non-increasing tuples.
+    """
+    if rank < 3:
+        raise ValueError("rank must be at least 3")
+    out: list[tuple[int, ...]] = []
+    for total in range(1, 2 * rank - 2):
+        out.extend(_partitions(total))
+    return out
+
+
+def _partitions(total: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    if total == 0:
+        return [()]
+    if largest is None:
+        largest = total
+    result = []
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            result.append((first,) + rest)
+    return result
 
 
 # -- the graph and its gates ---------------------------------------------------
@@ -733,8 +759,6 @@ class RealizationResult:
     marking: Pi1Marking
     search_log: list[str]
     report: "object | None" = None
-    pi1_words: dict[str, list[str]] | None = None
-    pi1_note: str = ""
 
     def to_json(self) -> dict:
         data = {
@@ -754,7 +778,6 @@ class RealizationResult:
                 "tree": sorted(self.marking.tree_edges),
                 "basis": dict(self.marking.basis),
             },
-            "pi1": {"images": self.pi1_words, "note": self.pi1_note},
         }
         if self.report is not None:
             data["report"] = self.report.to_json()
@@ -795,8 +818,6 @@ class RealizationResult:
             legalizing_cert=cert,
             marking=marking,
             search_log=list(data.get("search_log", [])),
-            pi1_words=data.get("pi1", {}).get("images"),
-            pi1_note=data.get("pi1", {}).get("note", ""),
         )
 
 
@@ -807,7 +828,6 @@ def realize(
     inp_length_bound: int = 200,
     c_max: int | None = None,
     max_rounds: int = 32,
-    pi1_budget: int = 200_000,
 ) -> RealizationResult:
     """Full pipeline: blueprint, graph, selectors, h, certified g, h∘g.
 
@@ -849,16 +869,6 @@ def realize(
         marking=marking,
         search_log=log,
     )
-    total = sum(final.image_length(e) for e in graph.positive_edges)
-    if total <= pi1_budget:
-        endo = pi1_automorphism(final, marking, budget=4 * pi1_budget)
-        result.pi1_words = {g_: list(w) for g_, w in endo.items()}
-        result.pi1_note = "images of the composed map"
-    else:
-        result.pi1_note = (
-            f"composed images hold {total} letters; per-factor images are exact"
-            " and compose to the full words"
-        )
     from . import certify as _certify
 
     result.report = _certify.certify_realization(

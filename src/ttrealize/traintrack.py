@@ -4,9 +4,11 @@ Covers direction maps, train track validation, intrinsic gate structures,
 gate-Whitehead graphs, long turns with the legalizing verifier, bounded
 periodic Nielsen path search, and gate index lists.
 
-Maps may be materialized (``GraphMap``) or factored (``MapChain``); the
-verifiers work through exact lengths and lazy letter windows, so nothing
-here ever materializes a composed edge image.
+Maps may be materialized (``GraphMap``) or factored (``MapChain``),
+except in ``long_turn_image``, which spells its branches out.  The
+verifiers work through exact lengths, lazy letter windows and the chain
+table's crossed turns, so nothing here ever materializes a composed edge
+image.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .core import (
     GraphError,
     Path,
     canonical_index_list,
-    crossed_turns,
     is_legal_path,
     token_key,
 )
@@ -111,15 +112,12 @@ def fixes_all_gates(f, gates: GateStructure) -> bool:
 
 @dataclass(frozen=True)
 class TrainTrackDiagnostics:
-    contracted_edges: tuple[str, ...]
     illegal_images: tuple[str, ...]
     illegal_turn_images: tuple[tuple[str, str], ...]
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.contracted_edges or self.illegal_images or self.illegal_turn_images
-        )
+        return not (self.illegal_images or self.illegal_turn_images)
 
 
 def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics:
@@ -130,18 +128,18 @@ def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics
     is again one, so nothing is checked on the composite itself: its images
     are nonempty, legal edge images stay legal through maps that send legal
     paths to legal paths, and its direction map, the composite of the
-    factors' direction maps, sends legal turns to legal turns.
+    factors' direction maps, sends legal turns to legal turns.  No edge
+    image is ever empty: ``GraphMap`` rejects contracted edges.
     """
     edges = f.graph.positive_edges
     for factor in dict.fromkeys(f.factors):
         diag = TrainTrackDiagnostics(
-            tuple(e for e in edges if factor.image_length(e) < 1),
             tuple(e for e in edges if not is_legal_path(factor.image(e), gates)),
             tuple(_illegal_legal_turn_images(factor, gates)),
         )
         if not diag.ok:
             return diag
-    return TrainTrackDiagnostics((), (), ())
+    return TrainTrackDiagnostics((), ())
 
 
 def _illegal_legal_turn_images(f, gates: GateStructure) -> list[tuple[str, str]]:
@@ -163,34 +161,12 @@ def _illegal_legal_turn_images(f, gates: GateStructure) -> list[tuple[str, str]]
 def is_classical_train_track(f) -> bool:
     """All iterated edge images reduced: no taken turn ever degenerates.
 
-    The taken turns are those crossed by single edge images; they are
-    closed under the direction map, and some ``f^t(e)`` is unreduced iff
-    some taken turn's direction orbit hits a degenerate pair.  For a chain,
-    the turns taken by each factor's images, mapped through the directions
-    of the factors after it, over-approximate the composite's taken turns,
-    so a clean over-approximation certifies the chain; for a single map
-    they are exactly its taken turns.
+    The taken turns are those crossed by single edge images, read exactly
+    from the chain table for a map and a chain alike; they are closed
+    under the direction map, and some ``f^t(e)`` is unreduced iff some
+    taken turn's direction orbit hits a degenerate pair.
     """
-    factors = f.factors
-    suffix_maps = _suffix_direction_maps(factors)
-    taken = set()
-    for j, factor in enumerate(factors):
-        trans = suffix_maps[j + 1]
-        for e in factor.graph.positive_edges:
-            for (x, y) in crossed_turns(factor.image(e)):
-                taken.add((trans[x], trans[y]))
-    return _orbits_stay_non_degenerate(taken, direction_map(f), f.graph)
-
-
-def _suffix_direction_maps(factors) -> list[dict[str, str]]:
-    """suffix_maps[j] = direction map of factors[j:] (identity at the end)."""
-    graph = factors[0].graph
-    out = [dict() for _ in range(len(factors) + 1)]
-    out[len(factors)] = {t: t for t in graph.directed_edges}
-    for j in range(len(factors) - 1, -1, -1):
-        deeper = out[j + 1]
-        out[j] = {t: deeper[factors[j].direction(t)] for t in graph.directed_edges}
-    return out
+    return _orbits_stay_non_degenerate(as_chain(f).crossed_turns, direction_map(f), f.graph)
 
 
 def _orbits_stay_non_degenerate(taken, df, graph) -> bool:
@@ -280,24 +256,6 @@ class WhiteheadGraph:
         return len(self.edges) == want
 
 
-def _crossed_gate_pairs(f, gates: GateStructure) -> set[tuple[int, int]]:
-    """Gate turns crossed by single edge images, united over the factors.
-
-    The union stands for a chain's own crossings only when its factors fix
-    every gate, so a chain of more than one factor must.
-    """
-    factors = dict.fromkeys(f.factors)
-    if len(f.factors) > 1 and not all(fixes_all_gates(x, gates) for x in factors):
-        raise MapError("factored Whitehead computation needs gate-fixing factors")
-    pairs: set[tuple[int, int]] = set()
-    for factor in factors:
-        for e in factor.graph.positive_edges:
-            for (x, y) in crossed_turns(factor.image(e)):
-                ga, gb = gates.gate_of(x), gates.gate_of(y)
-                pairs.add((ga, gb) if ga <= gb else (gb, ga))
-    return pairs
-
-
 def whitehead_graphs(f, gates: GateStructure) -> dict[str, WhiteheadGraph]:
     """Gate-Whitehead graphs at every vertex, by crossing-set transfer.
 
@@ -311,7 +269,10 @@ def whitehead_graphs(f, gates: GateStructure) -> dict[str, WhiteheadGraph]:
     gmap = gate_direction_map(f, gates)
     if gmap is None:
         raise MapError("map is not a train track morphism for these gates")
-    pairs = _crossed_gate_pairs(f, gates)
+    pairs = set()
+    for (x, y) in as_chain(f).crossed_turns:
+        ga, gb = gates.gate_of(x), gates.gate_of(y)
+        pairs.add((ga, gb) if ga <= gb else (gb, ga))
     while True:
         extra = {
             (min(gmap[a], gmap[b]), max(gmap[a], gmap[b])) for (a, b) in pairs
@@ -413,8 +374,7 @@ def long_turn_image(g, lt: LongTurn, budget: int = 1_000_000) -> LongTurn | None
     Returns None when one branch image is a subpath of the other (the long
     turn is not g-long).  Branch lengths of the image may differ; truncate
     to the shorter one when a fixed branch length is needed downstream.
-    The branch images are spelled out by ``apply_path``, which for a chain
-    keeps its own letter budget as well.
+    ``g`` is a materialized map, whose ``apply_path`` spells the branches.
     """
     la = g.word_image_length(lt.branch_a.edges)
     lb = g.word_image_length(lt.branch_b.edges)

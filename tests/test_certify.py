@@ -144,18 +144,38 @@ def test_report_json_shape(even_instance):
     assert data["inp"]["verdict"] == "none_found"
 
 
-@pytest.mark.parametrize("field", ["map_final", "map_g"])
-def test_tampered_document_loses_the_structural_route(tmp_path, field):
-    """A document whose composed map is not g followed by h does not get
-    the full certificate, whatever its stored legalizing verdict says."""
+@pytest.mark.parametrize("tamper", ["map_final", "map_g", "legalizing"])
+def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
+    """A document whose composed map is not g followed by h, or whose g
+    does not legalize at the stored C, does not get the full certificate,
+    whatever its stored legalizing verdict says."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
-    doc[field] = doc["map_h"]
+    h = doc["map_h"]
+    edits, note = {
+        "map_final": ({"map_final": h}, "map_final is not map_g followed by map_h"),
+        "map_g": ({"map_g": h}, "map_final is not map_g followed by map_h"),
+        # consistent with g := h, so only re-verifying g can catch it
+        "legalizing": (
+            {"map_g": h, "map_final": {"factors": h["factors"] * 2}},
+            "map_g is not legalizing at the stored C = 2",
+        ),
+    }[tamper]
+    doc.update(edits)
     report = certify_realization(RealizationResult.from_json(doc))
     assert report.level != FULL_THEOREM
-    assert "map_final is not map_g followed by map_h" in report.notes
+    assert note in report.notes
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     assert main(["certify", str(path)]) == 3
+
+
+def test_documents_with_the_old_pi1_key_still_decode():
+    doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
+    assert "pi1" not in doc
+    doc["pi1"] = {"images": None, "note": "composed images hold 107381339 letters"}
+    decoded = RealizationResult.from_json(doc)
+    assert certify_realization(decoded).level == FULL_THEOREM
+    assert "pi1" not in decoded.to_json()
 
 
 def test_read_path_multiplies_no_matrices_and_decodes_each_factor_once(monkeypatch):

@@ -6,25 +6,34 @@ dense random self-maps, and positive rose chains from the experiment's
 sampler.  Each chain and each of its powers is checked against the
 composed ``GraphMap`` on lengths, directions, letter windows, word windows
 and image comparison, and on the sign algebra: the sign pattern, the
-primitivity verdict and witness, and the least expanding power.
+primitivity verdict and witness, and the least expanding power.  Each
+chain also meets its composed map on the turns its edge images cross,
+the classical train track verdict and the gate-Whitehead graphs.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttrealize.certify import expanding_power
-from ttrealize.core import Graph, inverse
+from ttrealize.core import GateStructure, Graph, crossed_turns, inverse
 from ttrealize.experiment import sample_positive_automorphism
 from ttrealize.maps import (
     GraphMap,
     MapChain,
+    MapError,
     TransitionMatrix,
     compare_image_words,
     compose_maps,
     is_primitive,
     transition_matrix,
     word_image_window,
+)
+from ttrealize.traintrack import (
+    intrinsic_gate_structure,
+    is_classical_train_track,
+    whitehead_graphs,
 )
 from test_maps import random_graph, random_self_map
 
@@ -144,6 +153,32 @@ def check_signs(chain: MapChain, dense: GraphMap) -> None:
     assert expanding_power(chain) == brute_expanding_power(exact)
 
 
+def whitehead_or_error(f, gates):
+    try:
+        return whitehead_graphs(f, gates)
+    except MapError as exc:
+        return str(exc)
+
+
+def check_turns(chain: MapChain, dense: GraphMap) -> None:
+    """Crossed turns, classical verdict and Whitehead graphs of one pass;
+    the Whitehead graphs use the intrinsic gates when the map is classical,
+    else singleton gates, and a map moving a vertex must fail alike."""
+    graph = chain.graph
+    turns = {t for e in graph.positive_edges for t in crossed_turns(dense.image(e))}
+    assert chain.crossed_turns == turns
+    classical = is_classical_train_track(dense)
+    assert is_classical_train_track(chain) == classical
+    if classical:
+        gates = intrinsic_gate_structure(dense)
+        assert intrinsic_gate_structure(chain) == gates
+    else:
+        gates = GateStructure.singletons(graph)
+    assert whitehead_or_error(chain, gates) == whitehead_or_error(dense, gates)
+    with pytest.raises(MapError):
+        chain.power(2).crossed_turns
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["sparse", "mixed", "rose"]),
@@ -153,7 +188,9 @@ def check_signs(chain: MapChain, dense: GraphMap) -> None:
 def test_chain_and_powers_match_materialized_maps(kind, seed, length):
     chain = draw_chain(kind, seed, length)
     rng = random.Random(seed + 1)
-    for p, dense in enumerate(materialized_powers(chain, 4), start=1):
+    dense_powers = materialized_powers(chain, 4)
+    check_turns(chain, dense_powers[0])
+    for p, dense in enumerate(dense_powers, start=1):
         view = chain.power(p)
         assert view.vertex_image == dense.vertex_image
         check_against(view, dense, rng)
