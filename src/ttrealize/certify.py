@@ -76,7 +76,15 @@ def certify_realization(
     inp_period_bound: int = 8,
     inp_length_bound: int = 200,
 ) -> CertificationReport:
-    """Grade a realization result; the full tier needs the structural route."""
+    """Grade a realization result; the full tier needs the structural route.
+    The stored legalizing verdict is re-derived at the stored C, never trusted."""
+    c = result.legalizing_cert.branch_length
+    ok = c >= result.blueprint.long_turn_length and verify_legalizing(result.g, result.gates, c).ok
+    return _grade(result, ok, inp_period_bound, inp_length_bound)
+
+
+def _grade(result, legalizing_ok: bool, inp_period_bound: int, inp_length_bound: int) -> CertificationReport:
+    """The grading, given whether ``g`` legalizes at the stored C."""
     graph, gates = result.graph, result.gates
     notes: list[str] = list(result.blueprint.notes)
     h, g, final = result.h, result.g, result.final
@@ -84,11 +92,8 @@ def certify_realization(
     h_matrix_positive = is_positive_pattern(h.sign_pattern)
     h_whitehead = whitehead_graphs(h, gates)
     h_wh_connected = all(w.is_connected() for w in h_whitehead.values())
-    # the stored verdict is re-derived, never trusted
-    c = result.legalizing_cert.branch_length
-    legalizing_ok = c >= result.blueprint.long_turn_length and verify_legalizing(g, gates, c).ok
     if not legalizing_ok:
-        notes.append(f"map_g is not legalizing at the stored C = {c}")
+        notes.append(f"map_g is not legalizing at the stored C = {result.legalizing_cert.branch_length}")
     g_fixes = g.fixes_all_vertices() and fixes_all_gates(g, gates)
     # identity checks for decoded documents, whose equal factors are one instance
     composed = final.factors == g.factors + h.factors

@@ -1,7 +1,7 @@
 """Command line front end: realize, certify, experiment, enumerate.
 
-Exit codes: 0 success, 2 malformed input, 3 certification failure,
-4 I/O failure.
+Exit codes: 0 success, 2 malformed input, 3 certification failure or an
+exhausted search or budget, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import json
 import sys
 
 from .core import format_index_entry, format_index_list, parse_index_list
-from .realize import enumerate_admissible
+from .maps import ComparisonBudgetError
+from .realize import LegalizingSearchError, SelectorError, enumerate_admissible
+from .traintrack import VerificationBudgetError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,6 +176,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except (SelectorError, LegalizingSearchError, VerificationBudgetError, ComparisonBudgetError) as exc:
+        print(f"search or budget exhausted: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 4

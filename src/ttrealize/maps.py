@@ -215,7 +215,6 @@ class TransitionMatrix:
     def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
         if self.labels != other.labels:
             raise MapError("matrix label mismatch")
-        n = len(self.labels)
         cols = list(zip(*other.rows))
         rows = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
@@ -324,7 +323,8 @@ class _ChainTable:
     j whose factor moves it; ``kids[n]`` holds, for each letter y of
     f_j(token), the node of y at the next level that moves y, else y's
     boundary.  Levels that leave a token alone are never visited.
-    ``root[y]`` is y's node at the first level that moves it.
+    ``root[n]`` is the node of ``tokens[n]`` at the first level that moves
+    it, and ``root_of`` maps each token to that node.
     ``lengths[r][n]`` is the image length below node n with r passes of the
     factor list left to run, this one included: a power of the chain shares
     ``kids`` and adds one length vector per pass.  ``letters[r][n]`` spells
@@ -343,14 +343,14 @@ class _ChainTable:
 
     def _build(self):
         self.tokens = tuple(self.graph.directed_edges)
-        self.index = {t: n for n, t in enumerate(self.tokens)}
+        index = {t: n for n, t in enumerate(self.tokens)}
         self.level = [self.depth] * len(self.tokens)
         self.kids = [()] * len(self.tokens)
         nearest = list(range(len(self.tokens)))
         for j in range(self.depth - 1, -1, -1):
             f = self.factors[j]
             moved = [
-                (self.index[t], tuple(nearest[self.index[y]] for y in f.image_edges(t)))
+                (index[t], tuple(nearest[index[y]] for y in f.image_edges(t)))
                 for t in f.touched_tokens
             ]
             for n, kids in moved:
@@ -358,6 +358,7 @@ class _ChainTable:
                 self.kids.append(kids)
                 self.level.append(j)
         self.root = nearest
+        self.root_of = dict(zip(self.tokens, nearest))
 
     def grow(self, copies: int) -> list[list[int]]:
         """The length vectors, extended to ``copies`` passes."""
@@ -407,7 +408,7 @@ class _ChainTable:
             last.append(last[ks[-1]])
         reached = [False] * len(kids)
         for e in self.graph.positive_edges:
-            reached[self.root[self.index[e]]] = True
+            reached[self.root_of[e]] = True
         seams = set()
         for n in range(len(kids) - 1, len(tokens) - 1, -1):
             if reached[n]:
@@ -477,13 +478,9 @@ class MapChain:
         view.vertex_image = vmap
         return view
 
-    @property
-    def transition(self) -> TransitionMatrix:
-        return transition_matrix(self)
-
     @cached_property
     def sign_pattern(self) -> tuple[int, ...]:
-        """The sign pattern of ``transition`` as column bitsets, never
+        """The sign pattern of ``transition_matrix`` as column bitsets, never
         forming exact entries: bit i of entry j is set when the image of
         ``graph.positive_edges[j]`` crosses edge i."""
         base = pattern = self._table.sign_pattern
@@ -510,61 +507,22 @@ class MapChain:
         return self._suffix_lengths
 
     def direction(self, token: str) -> str:
-        self._lengths()
-        table = self._table
-        n, r = table.root[table.index[token]], self.copies
-        while True:
-            if n >= len(table.tokens):
-                n = table.kids[n][0]
-            elif r > 1:
-                n, r = table.root[n], r - 1
-            else:
-                return table.tokens[n]
+        cursor = ImageCursor(self, (token,))
+        while cursor.level < cursor.depth:
+            cursor.descend()
+        return self._table.tokens[cursor.node]
 
     def image_length(self, token: str) -> int:
-        lengths = self._lengths()[self.copies]
-        return lengths[self._table.root[self._table.index[token]]]
+        return self._lengths()[self.copies][self._table.root_of[token]]
 
     def word_image_length(self, word: Sequence[str]) -> int:
         lengths = self._lengths()[self.copies]
-        root, index = self._table.root, self._table.index
-        return sum(lengths[root[index[t]]] for t in word)
+        root_of = self._table.root_of
+        return sum(lengths[root_of[t]] for t in word)
 
     def image_window(self, token: str, start: int, count: int) -> list[str]:
         """Letters [start, start+count) of the image of ``token``."""
-        lengths = self._lengths()
-        table = self._table
-        letters = table.spell(self.copies)
-        kids, root, tokens = table.kids, table.root, table.tokens
-        top = root[table.index[token]]
-        out: list[str] = []
-        if count <= 0 or start >= lengths[self.copies][top]:
-            return out
-        stack: list[tuple[int, int, int, int]] = [(self.copies, top, start, count)]
-        while stack:
-            r, n, s, c = stack.pop()
-            spelled = letters[r][n]
-            if spelled is not None:
-                out.extend(spelled[s:s + c])
-                continue
-            if n < len(tokens):
-                stack.append((r - 1, root[n], s, c))
-                continue
-            block_lengths = lengths[r]
-            segs: list[tuple[int, int, int, int]] = []
-            for k in kids[n]:
-                block = block_lengths[k]
-                if s >= block:
-                    s -= block
-                    continue
-                take = min(c, block - s)
-                segs.append((r, k, s, take))
-                c -= take
-                if c <= 0:
-                    break
-                s = 0
-            stack.extend(reversed(segs))
-        return out
+        return word_image_window(self, (token,), start, count)
 
     def materialize(self, budget: int = 2_000_000) -> GraphMap:
         total = sum(self.image_length(e) for e in self.graph.positive_edges)
@@ -607,18 +565,20 @@ class ImageCursor:
     The current node is (``level``, ``node``): pass c of the factor list
     spans levels c*m up to c*m + m, a table node sits at the next level
     that moves its token, and a boundary sits at the end of its pass;
-    boundaries at depth ``copies * m`` are the actual letters.  A cursor
-    always sits at the start of its current node's subtree, so two cursors
-    on the same chain whose nodes are equal face identical subtrees.
-    ``node`` is None once the cursor has passed the whole word.
+    boundaries at level ``depth`` = ``copies * m`` are the actual letters.
+    A cursor always sits at the start of its current node's subtree, so
+    two cursors on the same chain whose nodes are equal face identical
+    subtrees.  ``node`` is None once the cursor has passed the whole word.
+    Comparisons step two cursors in lockstep; windows ``seek``, then ``spell``.
     """
 
-    __slots__ = ("table", "lengths", "stack", "pos", "level", "node")
+    __slots__ = ("table", "lengths", "copies", "depth", "stack", "pos", "level", "node")
 
     def __init__(self, chain: MapChain, word: Sequence[str]):
         self.lengths = chain._lengths()
         self.table = table = chain._table
-        roots = tuple(table.root[table.index[t]] for t in word)
+        self.copies, self.depth = chain.copies, chain.copies * table.depth
+        roots = tuple(map(table.root_of.__getitem__, word))
         self.stack: list[list] = [[chain.copies, 0, roots, 0]] if roots else []
         self.pos = 0
         self.node: int | None = roots[0] if roots else None
@@ -652,24 +612,42 @@ class ImageCursor:
         self.node = n = frame[2][0]
         self.level = frame[1] + table.level[n]
 
+    def seek(self, start: int) -> None:
+        """Move to letter ``start``: skip each subtree that ends at or before
+        it, descend into the one that holds it."""
+        while self.node is not None and self.pos < start:
+            if self.pos + self.lengths[self.stack[-1][0]][self.node] <= start:
+                self.advance()
+            else:
+                self.descend()
 
-def compare_image_words(
-    chain: MapChain,
-    word_a: Sequence[str],
-    word_b: Sequence[str],
-    step_budget: int = 20_000_000,
-):
-    """Locate the first divergence of two chain images.
+    def spell(self, count: int) -> list[str]:
+        """The next ``count`` letters, or as many as the word has left: a
+        subtree spelled out in the table is copied whole, or the prefix still
+        wanted, and any other node is descended into.  The cursor stops at
+        the first node it did not read whole, or past the word."""
+        letters = self.table.spell(self.copies)
+        out: list[str] = []
+        while self.node is not None and len(out) < count:
+            row = letters[self.stack[-1][0]][self.node]
+            if row is None:
+                self.descend()
+            elif len(row) <= count - len(out):
+                out += row
+                self.advance()
+            else:
+                out += row[:count - len(out)]
+                break
+        return out
 
-    Returns ("diverge", pos, letter_a, letter_b) where pos is the common
-    prefix length, or ("contained", side, pos) with side "a", "b" or
-    "equal" when one image is an initial subpath of the other.  Equal
-    subtrees are skipped whole, so structurally shared prefixes (the
-    common case for the compositions built here) cost O(1) each.
-    """
+
+def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
+             step_budget: int = 20_000_000):
+    """Run one cursor down each image to their first divergence; returns
+    both cursors and ``compare_image_words``'s outcome.  On a divergence
+    the cursors sit on the two letters that differ."""
     a = ImageCursor(chain, word_a)
     b = ImageCursor(chain, word_b)
-    depth = chain.copies * a.table.depth
     steps = 0
     while True:
         steps += 1
@@ -679,15 +657,15 @@ def compare_image_words(
             )
         if a.node is None or b.node is None:
             if a.node is None and b.node is None:
-                return ("contained", "equal", a.pos)
-            return ("contained", "a" if a.node is None else "b", min(a.pos, b.pos))
+                return a, b, ("contained", "equal", a.pos)
+            return a, b, ("contained", "a" if a.node is None else "b", min(a.pos, b.pos))
         if a.level == b.level:
             if a.node == b.node:
                 a.advance()
                 b.advance()
-            elif a.level == depth:
+            elif a.level == a.depth:
                 tokens = a.table.tokens
-                return ("diverge", a.pos, tokens[a.node], tokens[b.node])
+                return a, b, ("diverge", a.pos, tokens[a.node], tokens[b.node])
             else:
                 a.descend()
                 b.descend()
@@ -697,18 +675,35 @@ def compare_image_words(
             b.descend()
 
 
+def compare_image_words(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
+                        step_budget: int = 20_000_000):
+    """Locate the first divergence of two chain images.
+
+    Returns ("diverge", pos, letter_a, letter_b) where pos is the common
+    prefix length, or ("contained", side, pos) with side "a", "b" or
+    "equal" when one image is an initial subpath of the other.  Equal
+    subtrees are skipped whole, so structurally shared prefixes (the
+    common case for the compositions built here) cost O(1) each.
+    """
+    return _diverge(chain, word_a, word_b, step_budget)[2]
+
+
+def strip_windows(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str], count: int):
+    """The first divergence of two chain images and the images from there.
+
+    Returns ("diverge", pos, window_a, window_b), each window the next
+    ``count`` letters of its image from ``pos`` on, read by the cursors the
+    comparison left on the letters that differ; or the containment outcome
+    of ``compare_image_words``.
+    """
+    a, b, outcome = _diverge(chain, word_a, word_b)
+    if outcome[0] == "contained":
+        return outcome
+    return ("diverge", outcome[1], a.spell(count), b.spell(count))
+
+
 def word_image_window(chain: MapChain, word: Sequence[str], start: int, count: int) -> list[str]:
     """Letters [start, start+count) of the chain image of a word."""
-    out: list[str] = []
-    for token in word:
-        if count <= 0:
-            break
-        ln = chain.image_length(token)
-        if start >= ln:
-            start -= ln
-            continue
-        take = min(count, ln - start)
-        out.extend(chain.image_window(token, start, take))
-        count -= take
-        start = 0
-    return out
+    cursor = ImageCursor(chain, word)
+    cursor.seek(start)
+    return cursor.spell(count)

@@ -871,9 +871,6 @@ def realize(
     )
     from . import certify as _certify
 
-    result.report = _certify.certify_realization(
-        result,
-        inp_period_bound=inp_period_bound,
-        inp_length_bound=inp_length_bound,
-    )
+    # build_legalizing_map has just verified g at C: no second run
+    result.report = _certify._grade(result, cert.ok, inp_period_bound, inp_length_bound)
     return result

@@ -32,7 +32,7 @@ from .maps import (
     MapError,
     as_chain,
     compare_image_words,
-    word_image_window,
+    strip_windows,
 )
 
 NONE_FOUND = "none_found"
@@ -571,10 +571,11 @@ def find_periodic_inps(
             raise MapError(f"expansion required: |f({e})| < 2")
     base = as_chain(f)
     # direction orbits up to the period bound
+    df = direction_map(f)
     dirs = {t: [t] for t in graph.directed_edges}
     for _ in range(period_bound):
         for t in graph.directed_edges:
-            dirs[t].append(f.direction(dirs[t][-1]))
+            dirs[t].append(df[dirs[t][-1]])
     found = []
     notes: list[str] = []
     powers: dict[int, MapChain] = {}
@@ -602,11 +603,11 @@ def _iterate_strip_states(fp: MapChain, turn: Turn, bound: int, max_steps: int, 
         step = _strip_step(fp, x, y, bound, notes)
         if step is None:
             return None
-        cut, nx, ny, len_fx, len_fy = step
+        cut, nx, ny = step
         if (nx, ny) == (x, y):
             # exact fixed-state equations: remainder lengths must equal the
             # branch lengths, and the remainders must equal the branches.
-            if len_fx - cut == len(x) and len_fy - cut == len(y):
+            if fp.word_image_length(x) - cut == len(x) and fp.word_image_length(y) - cut == len(y):
                 return (x, y)
             return None
         if (nx, ny) in seen:
@@ -622,18 +623,14 @@ def _iterate_strip_states(fp: MapChain, turn: Turn, bound: int, max_steps: int, 
 def _strip_step(fp: MapChain, x, y, bound: int, notes: list[str]):
     """One iteration: strip the common prefix of fp(x), fp(y); truncate."""
     try:
-        outcome = compare_image_words(fp, x, y)
+        outcome = strip_windows(fp, x, y, bound)
     except ComparisonBudgetError:
         notes.append("strip step exceeded the comparison budget")
         return None
     if outcome[0] == "contained":
         return None  # one image contains the other: no vertex INP this way
-    _, cut, _, _ = outcome
-    len_fx = fp.word_image_length(x)
-    len_fy = fp.word_image_length(y)
-    nx = tuple(word_image_window(fp, x, cut, bound))
-    ny = tuple(word_image_window(fp, y, cut, bound))
-    return (cut, nx, ny, len_fx, len_fy)
+    _, cut, nx, ny = outcome
+    return (cut, tuple(nx), tuple(ny))
 
 
 # -- index lists ----------------------------------------------------------------

@@ -13,11 +13,8 @@ from ttrealize.core import canonical_index_list, format_index_list
 from ttrealize.maps import compose_maps, transition_matrix
 from ttrealize.marking import verify_homotopy_equivalence
 from ttrealize.traintrack import (
-    LongTurn,
-    enumerate_long_turns,
     intrinsic_gate_structure,
     legal_paths_from,
-    long_turn_image,
     whitehead_graphs,
 )
 from ttrealize.realize import CASE_EVEN, CASE_MAX_ODD, CASE_ODD, realize, verify_selectors
@@ -98,33 +95,37 @@ def test_criterion_3_per_construction_properties(sweep):
     )
 
     # maximal odd case, circle length <= 5: exhaustive legalization check of
-    # the long turns of branch length l+1 starting at the unique illegal turn
-    checked_instances = 0
+    # the long turns of branch length l+1 starting at the unique illegal
+    # turn; each branch image is spelled once, then every pair is compared
+    checked_instances = checked_pairs = 0
     for rank, entries, result in sampled:
         bp = result.blueprint
         if bp.case != CASE_MAX_ODD or bp.circle_length > 5:
             continue
         checked_instances += 1
         graph, gates = result.graph, result.gates
-        legalizer = result.legalizers[0]
+        legalizer = result.legalizers[0].map
         length = bp.circle_length + 1
-        branches_a = [
-            graph.path("v1", word)
-            for word in legal_paths_from(graph, gates, "a1", length)
-        ]
-        branches_b = [
-            graph.path("v1", word)
-            for word in legal_paths_from(graph, gates, "c1", length)
-        ]
-        for pa in branches_a:
-            for pb in branches_b:
-                image = long_turn_image(legalizer.map, LongTurn(pa, pb))
-                assert image is not None, (rank, entries, pa, pb)
-                assert image.is_legal(gates), (rank, entries, pa, pb)
+        images_a, images_b = (
+            [legalizer.apply_path(graph.path("v1", word)).edges
+             for word in legal_paths_from(graph, gates, first, length)]
+            for first in ("a1", "c1")
+        )
+        for wa in images_a:
+            for wb in images_b:
+                limit = min(len(wa), len(wb))
+                cut = 0
+                while cut < limit and wa[cut] == wb[cut]:
+                    cut += 1
+                # the images diverge, and along a legal turn
+                assert cut < limit, (rank, entries, wa, wb)
+                assert gates.is_legal_turn(wa[cut], wb[cut]), (rank, entries, wa, wb)
+        checked_pairs += len(images_a) * len(images_b)
     assert checked_instances >= 4
     print(
-        f"ACCEPTANCE 3b: PASS - exhaustive long-turn legalization on"
-        f" {checked_instances} maximal odd instances with short circles"
+        f"ACCEPTANCE 3b: PASS - exhaustive long-turn legalization of"
+        f" {checked_pairs} long turns on {checked_instances} maximal odd"
+        " instances with short circles"
     )
 
     rng = random.Random(271828)

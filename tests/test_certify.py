@@ -1,6 +1,7 @@
 """Certification tiers, stable index lists, conjugacy-class cross-checks."""
 
 import dataclasses
+import importlib
 import json
 
 import pytest
@@ -204,3 +205,32 @@ def test_read_path_multiplies_no_matrices_and_decodes_each_factor_once(monkeypat
     for rec in decoded.mixing_factors:
         assert shared[rec.map] is rec.map
     assert json.dumps(decoded.to_json(), sort_keys=True) == text
+
+
+def test_realize_verifies_its_legalizing_map_once(monkeypatch):
+    """realize grades with the verdict its legalizing search has just
+    derived; certify on a decoded document re-derives it, exactly once."""
+    realize_module = importlib.import_module("ttrealize.realize")
+    certify_module = importlib.import_module("ttrealize.certify")
+    verify, search = certify_module.verify_legalizing, realize_module.build_legalizing_map
+    calls, after_search = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    def searched(*args, **kwargs):
+        out = search(*args, **kwargs)
+        after_search.append(len(calls))
+        return out
+
+    for module in (realize_module, certify_module):
+        monkeypatch.setattr(module, "verify_legalizing", counted)
+    monkeypatch.setattr(realize_module, "build_legalizing_map", searched)
+    result = realize(3, (1,))
+    assert result.report.level == FULL_THEOREM
+    assert calls and after_search == [len(calls)]
+    calls.clear()
+    decoded = RealizationResult.from_json(json.loads(json.dumps(result.to_json())))
+    assert certify_realization(decoded).level == FULL_THEOREM
+    assert len(calls) == 1

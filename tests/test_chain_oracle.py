@@ -4,8 +4,9 @@ Chains are drawn three ways: sparse factors that move one or two edges of
 a random graph (so most levels leave a token alone), the same mixed with
 dense random self-maps, and positive rose chains from the experiment's
 sampler.  Each chain and each of its powers is checked against the
-composed ``GraphMap`` on lengths, directions, letter windows, word windows
-and image comparison, and on the sign algebra: the sign pattern, the
+composed ``GraphMap`` on lengths, directions, letter windows, word windows,
+cursors seeking and spelling at random offsets, image comparison and the
+strip step's windows, and on the sign algebra: the sign pattern, the
 primitivity verdict and witness, and the least expanding power.  Each
 chain also meets its composed map on the turns its edge images cross,
 the classical train track verdict and the gate-Whitehead graphs.
@@ -21,12 +22,14 @@ from ttrealize.core import GateStructure, Graph, crossed_turns, inverse
 from ttrealize.experiment import sample_positive_automorphism
 from ttrealize.maps import (
     GraphMap,
+    ImageCursor,
     MapChain,
     MapError,
     TransitionMatrix,
     compare_image_words,
     compose_maps,
     is_primitive,
+    strip_windows,
     transition_matrix,
     word_image_window,
 )
@@ -123,11 +126,31 @@ def check_against(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
         while common < min(len(da), len(db)) and da[common] == db[common]:
             common += 1
         outcome = compare_image_words(chain, word_a, word_b)
+        windows = strip_windows(chain, word_a, word_b, count)
         if common == min(len(da), len(db)):
             side = "equal" if len(da) == len(db) else ("a" if len(da) < len(db) else "b")
-            assert outcome == ("contained", side, common)
+            assert outcome == windows == ("contained", side, common)
         else:
             assert outcome == ("diverge", common, da[common], db[common])
+            end = common + count
+            assert windows == ("diverge", common, list(da[common:end]), list(db[common:end]))
+
+
+def check_cursor(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
+    """seek and spell across word letters and passes: seek to a random
+    letter, spell a window, seek further on and spell again."""
+    tokens = list(chain.graph.directed_edges)
+    for _ in range(6):
+        word = tuple(rng.choice(tokens) for _ in range(rng.randint(1, 4)))
+        full = image_of(dense, word)
+        cursor = ImageCursor(chain, word)
+        start = rng.randrange(len(full) + 2)
+        for _ in range(2):
+            cursor.seek(start)
+            assert cursor.pos == start if start < len(full) else cursor.node is None
+            count = rng.randrange(0, 3 * len(full) // len(word) + 2)
+            assert cursor.spell(count) == list(full[start:start + count])
+            start += count + rng.randrange(3)
 
 
 def exact_columns(m: TransitionMatrix) -> tuple[int, ...]:
@@ -194,4 +217,5 @@ def test_chain_and_powers_match_materialized_maps(kind, seed, length):
         view = chain.power(p)
         assert view.vertex_image == dense.vertex_image
         check_against(view, dense, rng)
+        check_cursor(view, dense, rng)
         check_signs(view, dense)

@@ -1,10 +1,14 @@
 """Command line contract: verbs, exit codes, round trips, enumeration."""
 
+import importlib
 import json
 
 import pytest
 
 from ttrealize.cli import enumerate_admissible, main
+from ttrealize.maps import ComparisonBudgetError
+from ttrealize.realize import LegalizingSearchError, SelectorError
+from ttrealize.traintrack import VerificationBudgetError
 
 
 def test_enumerate_rank_three_lists():
@@ -130,3 +134,21 @@ def test_legalizing_cmax_below_long_turn_length_exits_two(capsys):
     ])
     assert code == 2
     assert "below the long-turn length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, name, error", [
+    ("ttrealize.realize", "select_paths", SelectorError),
+    ("ttrealize.realize", "build_legalizing_map", LegalizingSearchError),
+    ("ttrealize.realize", "verify_legalizing", VerificationBudgetError),
+    ("ttrealize.traintrack", "compare_image_words", ComparisonBudgetError),
+])
+def test_exhausted_search_or_budget_exits_three(monkeypatch, capsys, module, name, error):
+    """Each search or budget that can run out ends in exit 3 and one line."""
+
+    def exhausted(*args, **kwargs):
+        raise error("planted exhaustion")
+
+    monkeypatch.setattr(importlib.import_module(module), name, exhausted)
+    assert main(["realize", "--rank", "3", "--index-list", "1/2"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"search or budget exhausted: {error.__name__}: planted exhaustion\n"

@@ -157,7 +157,7 @@ def test_chain_matches_materialized_composition(rose2):
         assert chain.image_window(e, max(n - 4, 0), 4) == list(dense.image_edges(e)[-4:])
         mid = chain.image_window(e, 2, 3)
         assert mid == list(dense.image_edges(e)[2:5])
-    assert chain.transition.rows == transition_matrix(dense).rows
+    assert transition_matrix(chain).rows == transition_matrix(dense).rows
     assert chain.materialize() == dense
 
 
