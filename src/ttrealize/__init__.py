@@ -23,7 +23,6 @@ from .traintrack import (
     enumerate_long_turns,
     find_periodic_inps,
     gate_index_list,
-    gate_whitehead_graph,
     intrinsic_gate_structure,
     long_turn_image,
     periodic_vertices,

@@ -9,6 +9,9 @@ gate index list, with no periodic Nielsen paths.  The conditional tier
 grades maps that only offer primitivity, Whitehead connectivity and a
 clean bounded Nielsen-path search: honest but weaker.  Positivity and
 primitivity are read from sign patterns, never from exact matrix products.
+A map with no construction behind it is graded through its intrinsic
+gates by one grader, which ``stable_index_list`` and the experiment's
+``grade_sample`` share.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .core import (
     inverse,
     tighten_word,
 )
-from .maps import MapError, as_chain, is_positive_pattern, is_primitive
+from .maps import as_chain, is_positive_pattern, is_primitive
 from .traintrack import (
     NONE_FOUND,
     InpSearchResult,
@@ -30,7 +33,6 @@ from .traintrack import (
     fixes_all_gates,
     gate_index_list,
     intrinsic_gate_structure,
-    is_classical_train_track,
     periodic_vertices,
     verify_legalizing,
     whitehead_graphs,
@@ -149,45 +151,41 @@ def _grade(result, legalizing_ok: bool, inp_period_bound: int, inp_length_bound:
     )
 
 
-def stable_index_list(
-    f,
-    inp_period_bound: int = 8,
-    inp_length_bound: int = 200,
-    expansion_bound: int = 8,
-) -> tuple[tuple[int, ...], bool]:
+def _intrinsic_grade(f):
+    """(intrinsic gates, their doubled index list at periodic vertices,
+    the least expanding power, the Nielsen-path search on that power).
+
+    The search is None when no power up to 8 expands every edge.  Raises
+    ``MapError`` unless ``f`` is a classical train track map.
+    """
+    gates = intrinsic_gate_structure(f)
+    index_list = gate_index_list(f.graph, gates, sorted(periodic_vertices(f)))
+    power = expanding_power(f)
+    inp = None if power is None else find_periodic_inps(as_chain(f).power(power), gates)
+    return gates, index_list, power, inp
+
+
+def stable_index_list(f) -> tuple[tuple[int, ...], bool]:
     """Gate index list of the intrinsic gates at periodic vertices.
 
     Returns (doubled index list, caveat).  The caveat is set whenever the
-    bounded Nielsen-path search does not come back clean; running the
-    search on a proper power (because the map itself does not expand
-    every edge) also sets it, since period coverage is then thinned out.
-    A caveat means the list may under- or over-count the stable index.
+    bounded Nielsen-path search (periods up to 8, branches up to 200
+    letters) does not come back clean; running the search on a proper power
+    (because the map itself does not expand every edge) also sets it, since
+    period coverage is then thinned out.  A caveat means the list may
+    under- or over-count the stable index.
     """
-    if not is_classical_train_track(f):
-        raise MapError("stable index list needs a classical train track map")
-    gates = intrinsic_gate_structure(f, assume_train_track=True)
-    periodic = sorted(periodic_vertices(f))
-    doubled = gate_index_list(f.graph, gates, periodic)
-    power = expanding_power(f, expansion_bound)
-    if power is None:
-        return (doubled, True)
-    inp = find_periodic_inps(
-        as_chain(f).power(power),
-        gates,
-        period_bound=inp_period_bound,
-        length_bound=inp_length_bound,
-    )
-    caveat = power > 1 or inp.verdict != NONE_FOUND
-    return (doubled, caveat)
+    _, doubled, power, inp = _intrinsic_grade(f)
+    return (doubled, power is None or power > 1 or inp.verdict != NONE_FOUND)
 
 
-def expanding_power(f, bound: int = 8) -> int | None:
-    """Least k <= bound with |f^k(e)| >= 2 for every edge, else None.
+def expanding_power(f) -> int | None:
+    """Least k <= 8 with |f^k(e)| >= 2 for every edge, else None.
 
     Images are never tightened, so |f^k(e)| is the column sum of M^k.
     """
     chain = as_chain(f)
-    for k in range(1, bound + 1):
+    for k in range(1, 9):
         power = chain.power(k)
         if all(power.image_length(e) >= 2 for e in f.graph.positive_edges):
             return k

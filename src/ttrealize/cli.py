@@ -117,7 +117,7 @@ def _run_certify(args) -> int:
         return 4
     try:
         result = RealizationResult.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         print(f"malformed realization document: {exc!r}", file=sys.stderr)
         return 2
     report = certify_realization(

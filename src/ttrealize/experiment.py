@@ -2,10 +2,11 @@
 
 Samples compositions of positive elementary substitutions (x -> xy or
 x -> yx on distinct positive petals).  Positive words never cancel, so
-every sample is a classical train track map for free and can be graded
-through its intrinsic gate structure.  Inverse letters are deliberately
-excluded: general elementary substitutions do not stay train track, and
-folding them back into shape is out of scope here.  The resulting
+every sample is a classical train track map for free and is graded
+through its intrinsic gate structure, by the grader ``certify`` keeps
+for ``stable_index_list``.  Inverse letters are deliberately excluded:
+general elementary substitutions do not stay train track, and folding
+them back into shape is out of scope here.  The resulting
 frequencies are therefore a qualitative analogue of two-sided samplers,
 not a reproduction of their percentages.
 """
@@ -18,13 +19,8 @@ from dataclasses import dataclass, field
 
 from .core import Graph, format_index_list
 from .maps import GraphMap, MapChain, is_primitive
-from .traintrack import (
-    NONE_FOUND,
-    find_periodic_inps,
-    intrinsic_gate_structure,
-    whitehead_graphs,
-)
-from .certify import expanding_power
+from .traintrack import NONE_FOUND, whitehead_graphs
+from .certify import _intrinsic_grade
 
 CATEGORY_CONDITIONAL = "conditional_iwip"
 CATEGORY_INP = "inp_present"
@@ -77,21 +73,17 @@ class SampleGrade:
 
 def grade_sample(chain: MapChain) -> SampleGrade:
     """Grade the sampled chain itself; no composed image is materialized."""
-    power = expanding_power(chain, bound=8)
+    # train track for free: positive images never cancel
+    gates, index_list, power, inp = _intrinsic_grade(chain)
     if power is None:
         return SampleGrade(CATEGORY_NON_EXPANDING, None, False, False, None)
-    # train track for free: taken turns never collide, and intrinsic gates keep legal turns legal
-    gates = intrinsic_gate_structure(chain)
     primitive, _ = is_primitive(chain.sign_pattern)
     wh = whitehead_graphs(chain, gates)["v1"].is_connected()
-    inp = find_periodic_inps(chain.power(power), gates)
-    doubled = gates.gate_count("v1") - 2
-    index_list = (doubled,) if gates.gate_count("v1") >= 3 else ()
-    if primitive and wh and inp.verdict == NONE_FOUND:
-        return SampleGrade(CATEGORY_CONDITIONAL, index_list, primitive, wh, inp.verdict)
     if inp.verdict != NONE_FOUND:
-        return SampleGrade(CATEGORY_INP, index_list, primitive, wh, inp.verdict)
-    return SampleGrade(CATEGORY_OTHER, index_list, primitive, wh, inp.verdict)
+        category = CATEGORY_INP
+    else:
+        category = CATEGORY_CONDITIONAL if primitive and wh else CATEGORY_OTHER
+    return SampleGrade(category, index_list, primitive, wh, inp.verdict)
 
 
 @dataclass

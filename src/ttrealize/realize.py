@@ -798,6 +798,8 @@ class RealizationResult:
         g = MapChain.from_json(graph, data["map_g"], memo)
         final = MapChain.from_json(graph, data["map_final"], memo)
         cert_data = data["legalizing"]
+        if not isinstance(cert_data["C"], int):
+            raise TypeError(f"legalizing C must be an integer, got {cert_data['C']!r}")
         cert = LegalizingCertificate(
             branch_length=cert_data["C"],
             checked=cert_data["checked"],

@@ -2,7 +2,10 @@
 
 Covers direction maps, train track validation, intrinsic gate structures,
 gate-Whitehead graphs, long turns with the legalizing verifier, bounded
-periodic Nielsen path search, and gate index lists.
+periodic Nielsen path search, and gate index lists.  The classical train
+track test and the intrinsic gates both read one table of eventual
+directions, ``Df^D`` for ``D`` the number of directions; the periodic
+vertices are the image of the same power of the vertex map.
 
 Maps may be materialized (``GraphMap``) or factored (``MapChain``),
 except in ``long_turn_image``, which spells its branches out.  The
@@ -158,69 +161,48 @@ def _illegal_legal_turn_images(f, gates: GateStructure) -> list[tuple[str, str]]
 # -- intrinsic gate structure --------------------------------------------------
 
 
+def _settled(step: dict[str, str]) -> dict[str, str]:
+    """``step^n`` for a self-map ``step`` of an ``n``-element set.
+
+    Every orbit is periodic after at most ``n - 1`` steps, and ``step``
+    permutes the periodic points, so two points ever collide iff their
+    ``n``-th images agree, and those images are the periodic points.
+    """
+    out = step
+    for _ in range(len(step) - 1):
+        out = {t: step[x] for t, x in out.items()}
+    return out
+
+
 def is_classical_train_track(f) -> bool:
     """All iterated edge images reduced: no taken turn ever degenerates.
 
     The taken turns are those crossed by single edge images, read exactly
     from the chain table for a map and a chain alike; they are closed
     under the direction map, and some ``f^t(e)`` is unreduced iff some
-    taken turn's direction orbit hits a degenerate pair.
+    taken turn has equal eventual directions.
     """
-    return _orbits_stay_non_degenerate(as_chain(f).crossed_turns, direction_map(f), f.graph)
+    return _keeps_taken_turns(f, _settled(direction_map(f)))
 
 
-def _orbits_stay_non_degenerate(taken, df, graph) -> bool:
-    verified: set[tuple[str, str]] = set()
-    for pair in taken:
-        x, y = pair
-        chain: set[tuple[str, str]] = set()
-        while True:
-            if x == y:
-                return False
-            key = (x, y) if x <= y else (y, x)
-            if key in verified or key in chain:
-                break  # known-safe forward orbit, or a non-degenerate cycle
-            chain.add(key)
-            x, y = df[x], df[y]
-        verified |= chain
-    return True
+def _keeps_taken_turns(f, eventual: dict[str, str]) -> bool:
+    return all(eventual[x] != eventual[y] for x, y in as_chain(f).crossed_turns)
 
 
-def intrinsic_gate_structure(f, assume_train_track: bool = False) -> GateStructure:
+def intrinsic_gate_structure(f) -> GateStructure:
     """Gates by eventual direction collision: Df^t(e) = Df^t(e') for some t.
 
-    Pairs of directions evolve in a finite set of size D^2 (D = number of
-    directed edges), so a collision happens within D^2 steps or never.
+    Directions share a gate when they share their initial vertex and their
+    eventual direction.  Raises ``MapError`` unless ``f`` is a classical
+    train track map.
     """
-    if not assume_train_track and not is_classical_train_track(f):
+    eventual = _settled(direction_map(f))
+    if not _keeps_taken_turns(f, eventual):
         raise MapError("map is not a classical train track map")
     graph = f.graph
-    df = direction_map(f)
-    bound = len(graph.directed_edges) ** 2
-    parent: dict[str, str] = {t: t for t in graph.directed_edges}
-
-    def find(t: str) -> str:
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for v in graph.vertices:
-        for a, b in itertools.combinations(graph.edges_at(v), 2):
-            x, y = a, b
-            for _ in range(bound):
-                if x == y:
-                    union(a, b)
-                    break
-                x, y = df[x], df[y]
-    groups: dict[str, list[str]] = {}
+    groups: dict[tuple[str, str], list[str]] = {}
     for t in graph.directed_edges:
-        groups.setdefault(find(t), []).append(t)
+        groups.setdefault((graph.init_of(t), eventual[t]), []).append(t)
     return GateStructure(graph, groups.values())
 
 
@@ -289,12 +271,6 @@ def whitehead_graphs(f, gates: GateStructure) -> dict[str, WhiteheadGraph]:
         )
         out[v] = WhiteheadGraph(v, nodes, edges)
     return out
-
-
-def gate_whitehead_graph(f, gates: GateStructure, vertex: str) -> WhiteheadGraph:
-    if f.vertex_image[vertex] != vertex:
-        raise MapError(f"map does not fix vertex {vertex!r}")
-    return whitehead_graphs(f, gates)[vertex]
 
 
 # -- long turns ---------------------------------------------------------------
@@ -649,13 +625,5 @@ def gate_index_list(
 
 
 def periodic_vertices(f) -> frozenset[str]:
-    graph = f.graph
-    out = set()
-    for v in graph.vertices:
-        w = v
-        for _ in range(len(graph.vertices)):
-            w = f.vertex_image[w]
-            if w == v:
-                out.add(v)
-                break
-    return frozenset(out)
+    """The vertices on cycles of the vertex map."""
+    return frozenset(_settled(f.vertex_image).values())

@@ -82,8 +82,8 @@ def test_criterion_3_per_construction_properties(sweep):
             if bp.case in (CASE_EVEN, CASE_ODD):
                 assert wh.is_complete(), (rank, entries, v)
         # the given gates are recovered as the intrinsic ones
-        assert intrinsic_gate_structure(result.g, assume_train_track=True) == gates
-        assert intrinsic_gate_structure(result.final, assume_train_track=True) == gates
+        assert intrinsic_gate_structure(result.g) == gates
+        assert intrinsic_gate_structure(result.final) == gates
         # every factor map is undone by its explicit homotopy inverse
         for rec in result.mixing_factors + result.legalizers:
             assert verify_homotopy_equivalence(

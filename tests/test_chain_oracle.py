@@ -8,10 +8,14 @@ composed ``GraphMap`` on lengths, directions, letter windows, word windows,
 cursors seeking and spelling at random offsets, image comparison and the
 strip step's windows, and on the sign algebra: the sign pattern, the
 primitivity verdict and witness, and the least expanding power.  Each
-chain also meets its composed map on the turns its edge images cross,
-the classical train track verdict and the gate-Whitehead graphs.
+chain also meets its composed map on the turns its edge images cross
+and the gate-Whitehead graphs.  The classical train track verdict, the
+intrinsic gates and the periodic vertices of chains, of composed maps and
+of random single maps are checked against brute-force references that
+walk orbits step by step.
 """
 
+import itertools
 import random
 
 import pytest
@@ -36,6 +40,7 @@ from ttrealize.maps import (
 from ttrealize.traintrack import (
     intrinsic_gate_structure,
     is_classical_train_track,
+    periodic_vertices,
     whitehead_graphs,
 )
 from test_maps import random_graph, random_self_map
@@ -96,6 +101,20 @@ def materialized_powers(chain: MapChain, top: int) -> list[GraphMap]:
     return out
 
 
+def same_letters(got, want) -> None:
+    """Letter lists agree; a mismatch reports lengths and the first
+    differing index, so no failing example makes pytest diff thousands of
+    letters at every shrink step."""
+    got, want = list(got), list(want)
+    if got != want:
+        first = next(
+            (i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want))
+        )
+        raise AssertionError(
+            f"letter lists differ: lengths {len(got)} and {len(want)}, first at index {first}"
+        )
+
+
 def image_of(f: GraphMap, word) -> tuple[str, ...]:
     return tuple(t for token in word for t in f.image_edges(token))
 
@@ -106,11 +125,11 @@ def check_against(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
         full = dense.image_edges(t)
         assert chain.image_length(t) == len(full)
         assert chain.direction(t) == full[0]
-        assert chain.image_window(t, 0, len(full)) == list(full)
+        same_letters(chain.image_window(t, 0, len(full)), full)
         for _ in range(3):
             start = rng.randrange(len(full) + 2)
             count = rng.randrange(0, 12)
-            assert chain.image_window(t, start, count) == list(full[start:start + count])
+            same_letters(chain.image_window(t, start, count), full[start:start + count])
     for _ in range(6):
         word_a = tuple(rng.choice(tokens) for _ in range(rng.randint(1, 3)))
         cut = rng.randint(0, len(word_a))
@@ -121,7 +140,7 @@ def check_against(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
         assert chain.word_image_length(word_a) == len(da)
         start = rng.randrange(len(da) + 1)
         count = rng.randrange(1, 40)
-        assert word_image_window(chain, word_a, start, count) == list(da[start:start + count])
+        same_letters(word_image_window(chain, word_a, start, count), da[start:start + count])
         common = 0
         while common < min(len(da), len(db)) and da[common] == db[common]:
             common += 1
@@ -149,7 +168,7 @@ def check_cursor(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
             cursor.seek(start)
             assert cursor.pos == start if start < len(full) else cursor.node is None
             count = rng.randrange(0, 3 * len(full) // len(word) + 2)
-            assert cursor.spell(count) == list(full[start:start + count])
+            same_letters(cursor.spell(count), full[start:start + count])
             start += count + rng.randrange(3)
 
 
@@ -183,6 +202,70 @@ def whitehead_or_error(f, gates):
         return str(exc)
 
 
+def reference_intrinsic_gates(f: GraphMap) -> GateStructure | None:
+    """The intrinsic gates by walking each pair of directions: a pair of
+    D directions moves in a set of D^2 pairs, so it collides within D^2
+    steps or never.  None when some taken turn collides: the map is then
+    not a classical train track map."""
+    graph = f.graph
+    df = {t: f.direction(t) for t in graph.directed_edges}
+    bound = len(df) ** 2
+
+    def collide(x: str, y: str) -> bool:
+        for _ in range(bound):
+            if x == y:
+                return True
+            x, y = df[x], df[y]
+        return False
+
+    taken = {t for e in graph.positive_edges for t in crossed_turns(f.image(e))}
+    if any(collide(x, y) for x, y in taken):
+        return None
+    parent = {t: t for t in graph.directed_edges}
+
+    def find(t: str) -> str:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for v in graph.vertices:
+        for a, b in itertools.combinations(graph.edges_at(v), 2):
+            if collide(a, b):
+                parent[find(b)] = find(a)
+    groups: dict[str, list[str]] = {}
+    for t in graph.directed_edges:
+        groups.setdefault(find(t), []).append(t)
+    return GateStructure(graph, groups.values())
+
+
+def reference_periodic_vertices(f) -> set[str]:
+    out = set()
+    for v in f.graph.vertices:
+        w = v
+        for _ in range(len(f.graph.vertices)):
+            w = f.vertex_image[w]
+            if w == v:
+                out.add(v)
+                break
+    return out
+
+
+def check_intrinsic(f, dense: GraphMap) -> GateStructure | None:
+    """The classical train track test, the intrinsic gates and the periodic
+    vertices of ``f`` against the references on its composed map; returns
+    the reference gates."""
+    gates = reference_intrinsic_gates(dense)
+    assert is_classical_train_track(f) == (gates is not None)
+    if gates is None:
+        with pytest.raises(MapError):
+            intrinsic_gate_structure(f)
+    else:
+        assert intrinsic_gate_structure(f) == gates
+    assert periodic_vertices(f) == reference_periodic_vertices(dense)
+    return gates
+
+
 def check_turns(chain: MapChain, dense: GraphMap) -> None:
     """Crossed turns, classical verdict and Whitehead graphs of one pass;
     the Whitehead graphs use the intrinsic gates when the map is classical,
@@ -190,12 +273,9 @@ def check_turns(chain: MapChain, dense: GraphMap) -> None:
     graph = chain.graph
     turns = {t for e in graph.positive_edges for t in crossed_turns(dense.image(e))}
     assert chain.crossed_turns == turns
-    classical = is_classical_train_track(dense)
-    assert is_classical_train_track(chain) == classical
-    if classical:
-        gates = intrinsic_gate_structure(dense)
-        assert intrinsic_gate_structure(chain) == gates
-    else:
+    check_intrinsic(dense, dense)
+    gates = check_intrinsic(chain, dense)
+    if gates is None:
         gates = GateStructure.singletons(graph)
     assert whitehead_or_error(chain, gates) == whitehead_or_error(dense, gates)
     with pytest.raises(MapError):
@@ -219,3 +299,39 @@ def test_chain_and_powers_match_materialized_maps(kind, seed, length):
         check_against(view, dense, rng)
         check_cursor(view, dense, rng)
         check_signs(view, dense)
+
+
+def test_intrinsic_gates_match_pair_walks_on_random_maps():
+    """Single random maps, most of them not classical, many moving or
+    permuting vertices, and chains of them."""
+    rng = random.Random(4321)
+    seen = {"classical": 0, "merged": 0, "moves": 0, "permutes": 0}
+    for _ in range(300):
+        graph = random_graph(rng)
+        f = random_self_map(graph, rng, max_len=rng.randint(2, 3))
+        gates = check_intrinsic(f, f)
+        if rng.random() < 0.3:
+            chain = MapChain(graph, [f, random_self_map(graph, rng, max_len=2)])
+            check_intrinsic(chain, materialized_powers(chain, 1)[0])
+        vmap = f.vertex_image
+        seen["classical"] += gates is not None
+        seen["merged"] += gates is not None and len(gates.gates) < len(graph.directed_edges)
+        seen["moves"] += any(vmap[v] != v for v in vmap)
+        seen["permutes"] += len(set(vmap.values())) == len(vmap) and any(vmap[v] != v for v in vmap)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_eventual_directions_reach_the_last_collision(rose2):
+    """f(a) = b, f(b) = ~a b: Df runs a -> b -> ~a -> ~b -> ~b through all
+    D = 4 directions, so the taken turn (a, b) first collides at step
+    D - 1, and f^4(b) is the first unreduced iterate."""
+    f = GraphMap(rose2, {"a": ("b",), "b": ("~a", "b")})
+    assert [f.direction(t) for t in ("a", "b", "~a", "~b")] == ["b", "~a", "~b", "~b"]
+    assert list(crossed_turns(f.image("b"))) == [("a", "b")]
+    word, reduced = ("b",), []
+    for _ in range(4):
+        word = image_of(f, word)
+        reduced.append(all(y != inverse(x) for x, y in zip(word, word[1:])))
+    assert reduced == [True, True, True, False]
+    assert reference_intrinsic_gates(f) is None
+    check_intrinsic(f, f)

@@ -152,3 +152,38 @@ def test_exhausted_search_or_budget_exits_three(monkeypatch, capsys, module, nam
     assert main(["realize", "--rank", "3", "--index-list", "1/2"]) == 3
     err = capsys.readouterr().err
     assert err == f"search or budget exhausted: {error.__name__}: planted exhaustion\n"
+
+
+def _break_images(doc):
+    doc["mixing_factors"][0]["map"]["images"] = list(doc["mixing_factors"][0]["map"]["images"].items())
+
+
+def _break_carrier(doc):
+    doc["selectors"]["carrier"] = list(doc["selectors"]["carrier"].items())
+
+
+def _set_c(value):
+    def edit(doc):
+        doc["legalizing"]["C"] = value
+    return edit
+
+
+def _drop_gates(doc):
+    del doc["gates"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_break_images, _break_carrier, _set_c("2"), _set_c(None), _drop_gates],
+    ids=["images-list", "carrier-list", "C-string", "C-null", "missing-key"],
+)
+def test_malformed_document_exits_two(tmp_path, capsys, edit):
+    out = tmp_path / "result.json"
+    assert main(["realize", "--rank", "3", "--index-list", "1/2", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["certify", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("malformed realization document"), err

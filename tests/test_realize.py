@@ -289,7 +289,7 @@ def test_even_case_certificate_small_branch_length(even_instance):
     cert = even_instance.legalizing_cert
     assert cert.ok
     assert cert.branch_length <= 8
-    assert intrinsic_gate_structure(even_instance.g, assume_train_track=True) == even_instance.gates
+    assert intrinsic_gate_structure(even_instance.g) == even_instance.gates
 
 
 def test_legalizing_search_log_records_rounds(even_instance):

@@ -21,7 +21,6 @@ from ttrealize.traintrack import (
     fixes_all_gates,
     gate_direction_map,
     gate_index_list,
-    gate_whitehead_graph,
     illegal_turns,
     intrinsic_gate_structure,
     long_turn_image,
@@ -101,11 +100,8 @@ def test_intrinsic_gates_of_permutation(rose2):
 
 
 def test_intrinsic_gates_of_legalizing_map(odd_instance):
-    assert intrinsic_gate_structure(odd_instance.g, assume_train_track=True) == odd_instance.gates
-    assert (
-        intrinsic_gate_structure(odd_instance.final, assume_train_track=True)
-        == odd_instance.gates
-    )
+    assert intrinsic_gate_structure(odd_instance.g) == odd_instance.gates
+    assert intrinsic_gate_structure(odd_instance.final) == odd_instance.gates
 
 
 def test_intrinsic_gates_refine_any_working_structure(even_instance):
@@ -113,7 +109,7 @@ def test_intrinsic_gates_refine_any_working_structure(even_instance):
     gate, never across gates the map respects."""
     gates = even_instance.gates
     for f in (even_instance.h, even_instance.final):
-        fine = intrinsic_gate_structure(f, assume_train_track=True)
+        fine = intrinsic_gate_structure(f)
         for members in fine.gates:
             owners = {gates.gate_of(t) for t in members}
             assert len(owners) == 1
@@ -135,9 +131,7 @@ def test_intrinsic_gates_reject_non_train_track(rose2):
 
 
 def test_whitehead_identity_is_empty(even_instance):
-    wh = gate_whitehead_graph(
-        GraphMap.identity(even_instance.graph), even_instance.gates, "v1"
-    )
+    wh = whitehead_graphs(GraphMap.identity(even_instance.graph), even_instance.gates)["v1"]
     assert wh.edges == frozenset()
     assert not wh.is_connected() or len(wh.nodes) == 1
 
