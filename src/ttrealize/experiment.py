@@ -48,9 +48,14 @@ def elementary_map(graph: Graph, target: int, other: int, append: bool) -> Graph
 
 
 def sample_positive_automorphism(rank: int, length: int, seed: int) -> MapChain:
-    """Deterministic composition of ``length`` random positive elementary maps."""
+    """Deterministic composition of ``length`` random positive elementary maps.
+
+    Each distinct elementary map is built once per call, so a chain holds
+    at most 2·rank·(rank−1) factor instances.
+    """
     graph = rose_graph(rank)
     rng = random.Random(seed)
+    built: dict[tuple[int, int, bool], GraphMap] = {}
     factors = []
     for _ in range(length):
         target = rng.randrange(1, rank + 1)
@@ -58,7 +63,10 @@ def sample_positive_automorphism(rank: int, length: int, seed: int) -> MapChain:
         if other >= target:
             other += 1
         append = rng.random() < 0.5
-        factors.append(elementary_map(graph, target, other, append))
+        key = (target, other, append)
+        if key not in built:
+            built[key] = elementary_map(graph, *key)
+        factors.append(built[key])
     return MapChain(graph, factors)
 
 

@@ -569,7 +569,12 @@ class ImageCursor:
     A cursor always sits at the start of its current node's subtree, so
     two cursors on the same chain whose nodes are equal face identical
     subtrees.  ``node`` is None once the cursor has passed the whole word.
-    Comparisons step two cursors in lockstep; windows ``seek``, then ``spell``.
+    ``stack`` holds one frame [passes left, level offset, children, index]
+    per open node, the top frame's child at index being the current node.
+    ``advance`` and ``descend`` are the single-cursor moves that windows
+    use: they ``seek``, then ``spell``.  Comparisons run both cursors
+    through ``_diverge``, which makes the same moves inline and hands the
+    cursors back in this form.
     """
 
     __slots__ = ("table", "lengths", "copies", "depth", "stack", "pos", "level", "node")
@@ -645,34 +650,105 @@ def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
              step_budget: int = 20_000_000):
     """Run one cursor down each image to their first divergence; returns
     both cursors and ``compare_image_words``'s outcome.  On a divergence
-    the cursors sit on the two letters that differ."""
+    the cursors sit on the two letters that differ.
+
+    This is the lockstep kernel: ``ImageCursor.advance`` and ``descend``
+    for both cursors, inlined.  Each cursor's top frame lives in locals
+    (passes left, level offset, children, index), its other frames on its
+    own stack.  The cursors only ever advance together, past one node they
+    share at one level, hence in one pass: so the position is shared, and
+    only ``a``'s length vector is kept.  Both cursors get their state back
+    before the return, so they can ``spell`` on.
+    """
     a = ImageCursor(chain, word_a)
     b = ImageCursor(chain, word_b)
-    steps = 0
+    table = a.table
+    lengths, level_of, kids, root = a.lengths, table.level, table.kids, table.root
+    boundaries, m, depth = len(table.tokens), table.depth, a.depth
+    stack_a, na, la = a.stack, a.node, a.level
+    stack_b, nb, lb = b.stack, b.node, b.level
+    if na is not None:
+        ca, oa, ka, ia = stack_a.pop()
+        va = lengths[ca]
+    if nb is not None:
+        cb, ob, kb, ib = stack_b.pop()
+    pos = steps = 0
     while True:
         steps += 1
         if steps > step_budget:
             raise ComparisonBudgetError(
-                f"image comparison exceeded {step_budget} steps at position {a.pos}"
+                f"image comparison exceeded {step_budget} steps at position {pos}"
             )
-        if a.node is None or b.node is None:
-            if a.node is None and b.node is None:
-                return a, b, ("contained", "equal", a.pos)
-            return a, b, ("contained", "a" if a.node is None else "b", min(a.pos, b.pos))
-        if a.level == b.level:
-            if a.node == b.node:
-                a.advance()
-                b.advance()
-            elif a.level == a.depth:
-                tokens = a.table.tokens
-                return a, b, ("diverge", a.pos, tokens[a.node], tokens[b.node])
+        if na is None or nb is None:
+            if na is None and nb is None:
+                outcome = ("contained", "equal", pos)
             else:
-                a.descend()
-                b.descend()
-        elif a.level < b.level:
-            a.descend()
+                outcome = ("contained", "a" if na is None else "b", pos)
+            break
+        if la == lb:
+            if na == nb:
+                # advance both past one shared subtree
+                pos += va[na]
+                ia += 1
+                while ia == len(ka):
+                    if not stack_a:
+                        na = None
+                        break
+                    ca, oa, ka, ia = stack_a.pop()
+                    va = lengths[ca]
+                    ia += 1
+                else:
+                    na = ka[ia]
+                    la = oa + level_of[na]
+                ib += 1
+                while ib == len(kb):
+                    if not stack_b:
+                        nb = None
+                        break
+                    cb, ob, kb, ib = stack_b.pop()
+                    ib += 1
+                else:
+                    nb = kb[ib]
+                    lb = ob + level_of[nb]
+                continue
+            if la == depth:
+                tokens = table.tokens
+                outcome = ("diverge", pos, tokens[na], tokens[nb])
+                break
+            descend_a = descend_b = True
         else:
-            b.descend()
+            descend_a = la < lb
+            descend_b = not descend_a
+        if descend_a:
+            stack_a.append([ca, oa, ka, ia])
+            if na < boundaries:
+                ca -= 1
+                va = lengths[ca]
+                oa += m
+                ka = (root[na],)
+            else:
+                ka = kids[na]
+            ia = 0
+            na = ka[0]
+            la = oa + level_of[na]
+        if descend_b:
+            stack_b.append([cb, ob, kb, ib])
+            if nb < boundaries:
+                cb -= 1
+                ob += m
+                kb = (root[nb],)
+            else:
+                kb = kids[nb]
+            ib = 0
+            nb = kb[0]
+            lb = ob + level_of[nb]
+    if na is not None:
+        stack_a.append([ca, oa, ka, ia])
+    if nb is not None:
+        stack_b.append([cb, ob, kb, ib])
+    a.node, a.level, a.pos = na, la, pos
+    b.node, b.level, b.pos = nb, lb, pos
+    return a, b, outcome
 
 
 def compare_image_words(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],

@@ -534,6 +534,12 @@ def find_periodic_inps(
     pair is verified against the exact fixed-state equations; the reduced
     path x-bar.y is then a periodic Nielsen path crossing the turn.
 
+    Each power p keeps one ``StripSteps`` table, shared by every turn
+    searched at p, so no strip step that stays within the comparison
+    budget is taken twice at one power: the states of one search settle
+    into a fixed state or a swapped 2-cycle (x, y) -> (y, x) -> (x, y),
+    and searches from different turns meet.
+
     Absence is bounded-complete for vertex-endpoint candidates only;
     Nielsen paths with endpoints inside edges are out of scope here.
     """
@@ -554,29 +560,28 @@ def find_periodic_inps(
             dirs[t].append(df[dirs[t][-1]])
     found = []
     notes: list[str] = []
-    powers: dict[int, MapChain] = {}
+    tables: dict[int, StripSteps] = {}
     for turn in illegal_turns(graph, gates):
         e, e2 = turn.tokens()
         for p in range(1, period_bound + 1):
             if dirs[e][p] != dirs[e2][p]:
                 continue
-            if p not in powers:
-                powers[p] = base.power(p)
-            hit = _iterate_strip_states(
-                powers[p], turn, length_bound, max_steps, notes
-            )
+            if p not in tables:
+                tables[p] = StripSteps(base.power(p), length_bound, notes)
+            hit = _iterate_strip_states(tables[p], turn, max_steps)
             if hit is not None:
                 found.append((turn, p, hit))
     verdict = FOUND if found else NONE_FOUND
     return InpSearchResult(period_bound, length_bound, tuple(found), verdict, tuple(notes))
 
 
-def _iterate_strip_states(fp: MapChain, turn: Turn, bound: int, max_steps: int, notes: list[str]):
+def _iterate_strip_states(steps: StripSteps, turn: Turn, max_steps: int):
+    fp = steps.fp
     x: tuple[str, ...] = (turn.a,)
     y: tuple[str, ...] = (turn.b,)
     seen = {(x, y)}
     for _ in range(max_steps):
-        step = _strip_step(fp, x, y, bound, notes)
+        step = steps.step(x, y)
         if step is None:
             return None
         cut, nx, ny = step
@@ -590,23 +595,53 @@ def _iterate_strip_states(fp: MapChain, turn: Turn, bound: int, max_steps: int, 
             return None
         seen.add((nx, ny))
         x, y = nx, ny
-    notes.append(
+    steps.notes.append(
         f"state iteration for turn {turn.tokens()} hit the step bound"
     )
     return None
 
 
-def _strip_step(fp: MapChain, x, y, bound: int, notes: list[str]):
-    """One iteration: strip the common prefix of fp(x), fp(y); truncate."""
-    try:
-        outcome = strip_windows(fp, x, y, bound)
-    except ComparisonBudgetError:
-        notes.append("strip step exceeded the comparison budget")
-        return None
-    if outcome[0] == "contained":
-        return None  # one image contains the other: no vertex INP this way
-    _, cut, nx, ny = outcome
-    return (cut, tuple(nx), tuple(ny))
+class StripSteps:
+    """The strip steps taken at one power ``fp``, keyed by state (x, y).
+
+    ``step(x, y)`` strips the common prefix of fp(x) and fp(y) and returns
+    (cut, x', y'): the prefix length and the next ``bound`` letters of
+    each image from there.  It returns None when one image contains the
+    other (no vertex Nielsen path this way) or when the comparison runs
+    out of budget.  A state whose swap (y, x) was already taken reads that
+    step with the two windows exchanged, since the divergence of two
+    images is symmetric, and a containment is None either way.  ``taken``
+    holds the step returned for every state asked, except a step that ran
+    out of budget: that one appends a note to ``notes`` and is taken
+    afresh each time, so every note is still written.
+    """
+
+    def __init__(self, fp: MapChain, bound: int, notes: list[str]):
+        self.fp = fp
+        self.bound = bound
+        self.notes = notes
+        self.taken: dict[tuple, tuple | None] = {}
+
+    def step(self, x: tuple[str, ...], y: tuple[str, ...]):
+        taken = self.taken
+        if (x, y) in taken:
+            return taken[(x, y)]
+        if (y, x) in taken:
+            swap = taken[(y, x)]
+            result = None if swap is None else (swap[0], swap[2], swap[1])
+        else:
+            try:
+                outcome = strip_windows(self.fp, x, y, self.bound)
+            except ComparisonBudgetError:
+                self.notes.append("strip step exceeded the comparison budget")
+                return None
+            if outcome[0] == "contained":
+                result = None
+            else:
+                _, cut, nx, ny = outcome
+                result = (cut, tuple(nx), tuple(ny))
+        taken[(x, y)] = result
+        return result
 
 
 # -- index lists ----------------------------------------------------------------

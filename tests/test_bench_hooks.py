@@ -2,8 +2,10 @@
 
 ``bench/tracing.install`` patches functions and methods by name, and the
 benchmark workloads call ``cli.enumerate_admissible``; a rename in the
-package would otherwise surface only in a benchmark run.  The install
-runs in a subprocess because it rebinds module globals for good.
+package would otherwise surface only in a benchmark run.  The benchmark
+reads strip-search time and counters under the
+``traintrack.find_periodic_inps`` span.  The install runs in a
+subprocess because it rebinds module globals for good.
 """
 
 import subprocess
@@ -39,6 +41,7 @@ def test_tracer_installs_on_the_package():
         "realize.build_factors",
         "realize.build_legalizing_map",
         "traintrack.check_train_track_morphism",
+        "traintrack.find_periodic_inps",
         "maps.lengths",
         "maps.matmul",
     ):

@@ -82,3 +82,15 @@ def test_conditional_samples_dominate_at_moderate_length():
     assert table.categories.get(CATEGORY_CONDITIONAL, 0) >= 1
     text = table.text_table()
     assert "qualitative" in text or "reference" in text
+
+
+def test_each_elementary_map_is_built_once_per_chain():
+    """A rank N rose has 2·N·(N−1) positive elementary maps; a sampled
+    chain holds one instance per distinct map it draws."""
+    for rank, length in ((2, 10), (3, 26), (4, 40)):
+        for seed in range(5):
+            chain = sample_positive_automorphism(rank, length, seed)
+            instances = {id(f) for f in chain.factors}
+            assert len(instances) <= 2 * rank * (rank - 1)
+            images = {str(f.to_json()) for f in chain.factors}
+            assert len(images) == len(instances)

@@ -1,6 +1,7 @@
 """Graph maps, composition, transition matrices, factored chains."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,15 +96,24 @@ def test_primitivity_matches_brute_force(data):
     assert fast == slow
 
 
-def random_self_map(graph: Graph, rng: random.Random, max_len: int = 3) -> GraphMap:
-    """Random graph map: images are random walks with matching endpoints."""
+def random_self_map(
+    graph: Graph, rng: random.Random, max_len: int = 3, draws: int = 10_000
+) -> GraphMap:
+    """Random graph map: images are random walks with matching endpoints.
+
+    Raises ``ValueError`` when some edge's image has no walk of at most
+    ``max_len`` edges between the vertex images, or when ``draws`` random
+    walks for one edge all miss.
+    """
     vertices = list(graph.vertices)
     vmap = {v: rng.choice(vertices) for v in vertices}
     images = {}
     for e in graph.positive_edges:
-        want_end = vmap[graph.term_of(e)]
-        while True:
-            at = vmap[graph.init_of(e)]
+        start, want_end = vmap[graph.init_of(e)], vmap[graph.term_of(e)]
+        if want_end not in _walk_ends(graph, start, max_len):
+            raise ValueError(f"no walk of at most {max_len} edges from {start} to {want_end}")
+        for _ in range(draws):
+            at = start
             word = []
             for _ in range(rng.randint(1, max_len)):
                 token = rng.choice(graph.edges_at(at))
@@ -112,7 +122,18 @@ def random_self_map(graph: Graph, rng: random.Random, max_len: int = 3) -> Graph
             if at == want_end:
                 images[e] = tuple(word)
                 break
+        else:
+            raise ValueError(f"{draws} random walks from {start} all missed {want_end}")
     return GraphMap(graph, images, vmap)
+
+
+def _walk_ends(graph: Graph, start: str, max_len: int) -> set[str]:
+    """The ends of the walks from ``start`` with 1 to ``max_len`` edges."""
+    ends, frontier = set(), {start}
+    for _ in range(max_len):
+        frontier = {graph.term_of(t) for v in frontier for t in graph.edges_at(v)}
+        ends |= frontier
+    return ends
 
 
 def random_graph(rng: random.Random) -> Graph:
@@ -128,6 +149,26 @@ def random_graph(rng: random.Random) -> Graph:
     for i, v in enumerate(vertices[1:], start=1):
         edges.append((f"t{i}", vertices[0], v))
     return Graph(vertices, edges)
+
+
+def test_random_self_map_returns_or_raises_with_one_letter_images():
+    """With ``max_len=1`` an edge's image must be one edge between the two
+    vertex images; where none exists the draw raises instead of retrying."""
+    rng = random.Random(4321)
+    outcomes = []
+    for _ in range(30):
+        graph = random_graph(rng)
+        start = time.monotonic()
+        try:
+            f = random_self_map(graph, rng, max_len=1)
+        except ValueError as exc:
+            assert "no walk of at most 1 edges" in str(exc)
+            outcomes.append("raised")
+        else:
+            assert all(f.image_length(e) == 1 for e in graph.positive_edges)
+            outcomes.append("returned")
+        assert time.monotonic() - start < 1
+    assert set(outcomes) == {"raised", "returned"}
 
 
 def test_transition_multiplicativity_on_random_pairs():

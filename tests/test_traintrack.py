@@ -5,8 +5,18 @@ import random
 
 import pytest
 
+from ttrealize import traintrack
+from ttrealize.certify import expanding_power
 from ttrealize.core import GateStructure, Graph, Path, inverse
-from ttrealize.maps import GraphMap, MapChain, MapError, compose_maps
+from ttrealize.experiment import sample_positive_automorphism
+from ttrealize.maps import (
+    ComparisonBudgetError,
+    GraphMap,
+    MapChain,
+    MapError,
+    compose_maps,
+    strip_windows,
+)
 from ttrealize.traintrack import (
     FOUND,
     LEGALIZING,
@@ -375,6 +385,59 @@ def test_inp_search_fibonacci_square_has_no_vertex_candidates(rose2):
     gates = intrinsic_gate_structure(f)
     inp = find_periodic_inps(square, gates, period_bound=4)
     assert inp.verdict == NONE_FOUND
+
+
+def _fresh_strip_step(table, x, y):
+    outcome = strip_windows(table.fp, x, y, table.bound)
+    if outcome[0] == "contained":
+        return None
+    _, cut, window_x, window_y = outcome
+    return (cut, tuple(window_x), tuple(window_y))
+
+
+def test_strip_step_table_matches_fresh_steps(monkeypatch):
+    """Every step a per-power table handed out, the ones read off a swapped
+    state included, is the step a fresh ``strip_windows`` takes; and the
+    swap of every entry is the fresh step of the swapped state."""
+    tables, swapped = [], 0
+
+    class Recording(traintrack.StripSteps):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+        def step(self, x, y):
+            nonlocal swapped
+            swapped += (x, y) not in self.taken and (y, x) in self.taken
+            return super().step(x, y)
+
+    monkeypatch.setattr(traintrack, "StripSteps", Recording)
+    for seed in range(12):
+        chain = sample_positive_automorphism(3, 14 + seed, seed)
+        power = expanding_power(chain)
+        if power is not None:
+            find_periodic_inps(chain.power(power), intrinsic_gate_structure(chain))
+    assert swapped >= 1
+    for table in tables:
+        for (x, y), entry in table.taken.items():
+            assert entry == _fresh_strip_step(table, x, y)
+            swap = None if entry is None else (entry[0], entry[2], entry[1])
+            assert swap == _fresh_strip_step(table, y, x)
+
+
+def test_strip_step_out_of_budget_is_noted_every_time(monkeypatch):
+    """A step that ran out of budget is never stored: each visit of the
+    state, or of its swap, takes it afresh and writes its note again."""
+    def exhausted(*args):
+        raise ComparisonBudgetError("image comparison exceeded 1 steps at position 0")
+
+    monkeypatch.setattr(traintrack, "strip_windows", exhausted)
+    notes = []
+    steps = traintrack.StripSteps(None, 200, notes)
+    for x, y in ((("a",), ("b",)), (("b",), ("a",)), (("a",), ("b",))):
+        assert steps.step(x, y) is None
+    assert notes == ["strip step exceeded the comparison budget"] * 3
+    assert steps.taken == {}
 
 
 # -- index lists ------------------------------------------------------------------
