@@ -96,13 +96,14 @@ def test_primitivity_matches_brute_force(data):
     assert fast == slow
 
 
-def random_self_map(
-    graph: Graph, rng: random.Random, max_len: int = 3, draws: int = 10_000
-) -> GraphMap:
+_DRAWS = 10_000
+
+
+def random_self_map(graph: Graph, rng: random.Random, max_len: int = 3) -> GraphMap:
     """Random graph map: images are random walks with matching endpoints.
 
     Raises ``ValueError`` when some edge's image has no walk of at most
-    ``max_len`` edges between the vertex images, or when ``draws`` random
+    ``max_len`` edges between the vertex images, or when ``_DRAWS`` random
     walks for one edge all miss.
     """
     vertices = list(graph.vertices)
@@ -112,7 +113,7 @@ def random_self_map(
         start, want_end = vmap[graph.init_of(e)], vmap[graph.term_of(e)]
         if want_end not in _walk_ends(graph, start, max_len):
             raise ValueError(f"no walk of at most {max_len} edges from {start} to {want_end}")
-        for _ in range(draws):
+        for _ in range(_DRAWS):
             at = start
             word = []
             for _ in range(rng.randint(1, max_len)):
@@ -123,7 +124,7 @@ def random_self_map(
                 images[e] = tuple(word)
                 break
         else:
-            raise ValueError(f"{draws} random walks from {start} all missed {want_end}")
+            raise ValueError(f"{_DRAWS} random walks from {start} all missed {want_end}")
     return GraphMap(graph, images, vmap)
 
 
