@@ -79,14 +79,19 @@ def certify_realization(
     inp_length_bound: int = 200,
 ) -> CertificationReport:
     """Grade a realization result; the full tier needs the structural route.
-    The stored legalizing verdict is re-derived at the stored C, never trusted."""
+    The stored legalizing verdict is re-derived at the stored C, never
+    trusted, and every distinct factor of ``final`` is checked to be a
+    train track morphism."""
     c = result.legalizing_cert.branch_length
     ok = c >= result.blueprint.long_turn_length and verify_legalizing(result.g, result.gates, c).ok
-    return _grade(result, ok, inp_period_bound, inp_length_bound)
+    final_tt = check_train_track_morphism(result.final, result.gates).ok
+    return _grade(result, ok, final_tt, inp_period_bound, inp_length_bound)
 
 
-def _grade(result, legalizing_ok: bool, inp_period_bound: int, inp_length_bound: int) -> CertificationReport:
-    """The grading, given whether ``g`` legalizes at the stored C."""
+def _grade(result, legalizing_ok: bool, final_tt: bool,
+           inp_period_bound: int, inp_length_bound: int) -> CertificationReport:
+    """The grading, given whether ``g`` legalizes at the stored C and
+    whether ``final`` is a train track morphism for the gates."""
     graph, gates = result.graph, result.gates
     notes: list[str] = list(result.blueprint.notes)
     h, g, final = result.h, result.g, result.final
@@ -107,7 +112,6 @@ def _grade(result, legalizing_ok: bool, inp_period_bound: int, inp_length_bound:
     structural = (h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
                   and composed and mixed)
 
-    final_tt = check_train_track_morphism(final, gates).ok
     primitive, witness = is_primitive(final.sign_pattern)
     final_whitehead = whitehead_graphs(final, gates)
     wh_by_vertex = {v: w.is_connected() for v, w in final_whitehead.items()}

@@ -76,7 +76,9 @@ class Graph:
 
     ``positive_edges`` holds one token per edge pair; the reversed tokens
     are implied.  Vertex and edge orders are preserved from construction,
-    which keeps every derived enumeration deterministic.
+    which keeps every derived enumeration deterministic.  ``inits``,
+    ``terms`` and ``inverses`` map every directed edge to its initial
+    vertex, its terminal vertex and its reversal.
     """
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str, str]]):
@@ -97,20 +99,22 @@ class Graph:
             init[inverse(label)] = to
             labels.append(label)
         self.positive_edges: tuple[str, ...] = tuple(labels)
-        self._init = init
         self.directed_edges: tuple[str, ...] = tuple(labels) + tuple(
             inverse(e) for e in labels
         )
+        self.inits: dict[str, str] = init
+        self.inverses: dict[str, str] = {t: inverse(t) for t in self.directed_edges}
+        self.terms: dict[str, str] = {t: init[self.inverses[t]] for t in self.directed_edges}
         at: dict[str, list[str]] = {v: [] for v in self.vertices}
         for token in self.directed_edges:
             at[init[token]].append(token)
         self._edges_at = {v: tuple(sorted(at[v], key=token_key)) for v in self.vertices}
 
     def init_of(self, token: str) -> str:
-        return self._init[token]
+        return self.inits[token]
 
     def term_of(self, token: str) -> str:
-        return self._init[inverse(token)]
+        return self.terms[token]
 
     def edges_at(self, vertex: str) -> tuple[str, ...]:
         """Directed edges leaving ``vertex``, in token order."""
@@ -144,9 +148,9 @@ class Graph:
             return False
         at = path.start
         for token in path.edges:
-            if token not in self._init or self._init[token] != at:
+            if self.inits.get(token) != at:
                 return False
-            at = self.term_of(token)
+            at = self.terms[token]
         return True
 
     def path(self, start: str, edges: Iterable[str] = ()) -> Path:
@@ -252,6 +256,14 @@ class GateStructure:
         for gid, members in enumerate(self.gates):
             at[graph.init_of(members[0])].append(gid)
         self._gates_at = {v: tuple(ids) for v, ids in at.items()}
+        gate_of = self._gate_of
+        self._continuations = {
+            token: tuple(
+                t for t in graph.edges_at(graph.terms[token])
+                if gate_of[t] != gate_of[graph.inverses[token]]
+            )
+            for token in graph.directed_edges
+        }
 
     @classmethod
     def singletons(cls, graph: Graph) -> "GateStructure":
@@ -273,13 +285,9 @@ class GateStructure:
         return self._gate_of[e] != self._gate_of[e2]
 
     def legal_continuations(self, token: str) -> tuple[str, ...]:
-        """Directed edges that legally extend a path ending with ``token``."""
-        back = inverse(token)
-        return tuple(
-            t
-            for t in self.graph.edges_at(self.graph.term_of(token))
-            if not self.is_same_gate(back, t)
-        )
+        """Directed edges that legally extend a path ending with ``token``,
+        in token order; one table, built with the structure."""
+        return self._continuations[token]
 
     def is_same_gate(self, e: str, e2: str) -> bool:
         return self._gate_of[e] == self._gate_of[e2]
@@ -306,10 +314,14 @@ def is_legal_path(path: Path, gates: GateStructure) -> bool:
 
     Empty and single-edge paths are legal by convention.
     """
-    edges = path.edges
+    return is_legal_word(path.edges, gates)
+
+
+def is_legal_word(edges: Sequence[str], gates: GateStructure) -> bool:
+    """``is_legal_path`` for a bare token word."""
+    inverses, gate_of = gates.graph.inverses, gates._gate_of
     return all(
-        not gates.is_same_gate(inverse(edges[k]), edges[k + 1])
-        for k in range(len(edges) - 1)
+        gate_of[inverses[x]] != gate_of[y] for x, y in zip(edges, edges[1:])
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .core import Graph, Path, inverse, inverse_word, is_positive, positive_label
+from .core import Graph, Path, inverse, is_positive, positive_label
 
 
 class MapError(ValueError):
@@ -29,7 +29,8 @@ class GraphMap:
     """A graph self-map: vertices to vertices, edges to nonempty edge paths.
 
     The image of a reversed edge is the reversed image of the edge, by
-    construction.  Instances are immutable after creation.
+    construction.  Construction checks the images in one pass through the
+    graph's token tables.  Instances are immutable after creation.
     """
 
     def __init__(
@@ -39,23 +40,53 @@ class GraphMap:
         vertex_image: dict[str, str] | None = None,
     ):
         self.graph = graph
+        inits, terms, inverses = graph.inits, graph.terms, graph.inverses
         images: dict[str, tuple[str, ...]] = {}
+        touched: list[str] = []
+        # per positive edge: the vertex its image starts at, whether its
+        # letters join up into a path, and the vertex it ends at
+        spans: list[tuple[str, str, bool, str]] = []
         for label in graph.positive_edges:
             if label not in edge_images:
                 raise MapError(f"missing image for edge {label!r}")
             word = tuple(edge_images[label])
             if not word:
                 raise MapError(f"contracted edge {label!r}")
+            try:
+                back = tuple([inverses[t] for t in reversed(word)])
+            except KeyError as exc:
+                raise MapError(f"image of {label!r} crosses unknown edge {exc.args[0]!r}") from None
+            start = at = inits[word[0]]
+            joined = True
+            for t in word:
+                if inits[t] != at:
+                    joined = False
+                    break
+                at = terms[t]
+            spans.append((label, start, joined, terms[word[-1]]))
             images[label] = word
-            images[inverse(label)] = inverse_word(word)
+            images[inverses[label]] = back
+            if word != (label,):
+                touched += (label, inverses[label])
         if vertex_image is None:
-            vertex_image = self._infer_vertex_image(graph, images)
+            vertex_image = {}
+            for label, start, _, end in spans:
+                for v, w in ((inits[label], start), (terms[label], end)):
+                    if vertex_image.setdefault(v, w) != w:
+                        raise MapError(f"incoherent images at vertex {v!r}")
+            for v in graph.vertices:
+                vertex_image.setdefault(v, v)
         self.vertex_image: dict[str, str] = dict(vertex_image)
+        for w in self.vertex_image.values():
+            if w not in graph.vertices:
+                raise MapError(f"vertex image {w!r} not a vertex")
+        for label, start, joined, end in spans:
+            if not joined or start != self.vertex_image[inits[label]]:
+                raise MapError(f"image of {label!r} is not a path")
+            if end != self.vertex_image[terms[label]]:
+                raise MapError(f"image of {label!r} ends at the wrong vertex")
         self._images = images
-        self._validate()
-        self.touched_tokens = frozenset(
-            t for t, w in images.items() if w != (t,)
-        )
+        self.touched_tokens = frozenset(touched)
 
     @cached_property
     def sign_columns(self) -> tuple[int, dict[int, int]]:
@@ -74,32 +105,6 @@ class GraphMap:
             if e in self.touched_tokens
         }
         return (sum(columns), columns)
-
-    @staticmethod
-    def _infer_vertex_image(graph: Graph, images) -> dict[str, str]:
-        vmap: dict[str, str] = {}
-        for label in graph.positive_edges:
-            word = images[label]
-            for v, w in ((graph.init_of(label), graph.init_of(word[0])),
-                         (graph.term_of(label), graph.term_of(word[-1]))):
-                if vmap.setdefault(v, w) != w:
-                    raise MapError(f"incoherent images at vertex {v!r}")
-        for v in graph.vertices:
-            vmap.setdefault(v, v)
-        return vmap
-
-    def _validate(self):
-        g = self.graph
-        for v, w in self.vertex_image.items():
-            if w not in set(g.vertices):
-                raise MapError(f"vertex image {w!r} not a vertex")
-        for label in g.positive_edges:
-            word = self._images[label]
-            path = Path(self.vertex_image[g.init_of(label)], word)
-            if not g.path_is_valid(path):
-                raise MapError(f"image of {label!r} is not a path")
-            if g.path_end(path) != self.vertex_image[g.term_of(label)]:
-                raise MapError(f"image of {label!r} ends at the wrong vertex")
 
     # -- basic queries ---------------------------------------------------
 
@@ -151,8 +156,14 @@ class GraphMap:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"images": {e: list(self._images[e]) for e in self.graph.positive_edges}}
+    def to_json(self, memo: dict | None = None) -> dict:
+        """Encode the map; with ``memo``, keyed by instance, each instance is
+        encoded once and its later uses share that dict."""
+        if memo is None:
+            return {"images": {e: list(self._images[e]) for e in self.graph.positive_edges}}
+        if id(self) not in memo:
+            memo[id(self)] = self.to_json()
+        return memo[id(self)]
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "GraphMap":
@@ -368,7 +379,10 @@ class _ChainTable:
             r = len(self.lengths)
             vec = [1] * len(self.tokens) if r == 1 else [self.lengths[-1][n] for n in self.root]
             for kids in self.kids[len(vec):]:
-                vec.append(sum([vec[k] for k in kids]))
+                total = 0
+                for k in kids:
+                    total += vec[k]
+                vec.append(total)
             self.lengths.append(vec)
         return self.lengths
 
@@ -392,20 +406,27 @@ class _ChainTable:
         return tuple(columns)
 
     @cached_property
-    def crossed_turns(self) -> frozenset[tuple[str, str]]:
-        """The turns crossed by one pass's positive edge images, as
-        (inverse(x), y) for consecutive letters x, y: first and last letters
-        below each node, then the seams between consecutive children of the
-        nodes those images reach."""
+    def ends(self) -> tuple[list[int], list[int]]:
+        """(first, last): the token ids of the first and last letters of one
+        pass's image below each node, in one bottom-up pass."""
         if self.kids is None:
             self._build()
-        tokens, kids = self.tokens, self.kids
-        # letters as token ids; the seams are spelled as turns at the end
-        first = list(range(len(tokens)))
+        first = list(range(len(self.tokens)))
         last = first[:]
-        for ks in kids[len(tokens):]:
+        for ks in self.kids[len(first):]:
             first.append(first[ks[0]])
             last.append(last[ks[-1]])
+        return first, last
+
+    @cached_property
+    def crossed_turns(self) -> frozenset[tuple[str, str]]:
+        """The turns crossed by one pass's positive edge images, as
+        (inverse(x), y) for consecutive letters x, y: the seams between
+        consecutive children of the nodes those images reach, read as the
+        last letter below the one and the first below the next."""
+        first, last = self.ends
+        tokens, kids = self.tokens, self.kids
+        # letters as token ids; the seams are spelled as turns at the end
         reached = [False] * len(kids)
         for e in self.graph.positive_edges:
             reached[self.root_of[e]] = True
@@ -417,7 +438,8 @@ class _ChainTable:
                     seams.add((last[a], first[b]))
                 for k in ks:
                     reached[k] = True
-        return frozenset((inverse(tokens[x]), tokens[y]) for x, y in seams)
+        inverses = self.graph.inverses
+        return frozenset((inverses[tokens[x]], tokens[y]) for x, y in seams)
 
     def spell(self, copies: int) -> list[list[list[str] | None]]:
         """The spelled-out small subtrees, extended to ``copies`` passes."""
@@ -469,13 +491,13 @@ class MapChain:
             raise ValueError(f"chain power must be at least 1, got {p}")
         if p == 1:
             return self
-        view = MapChain(self.graph, self.factors)
-        view.copies = self.copies * p
-        view._table = self._table
         vmap = self.vertex_image
         for _ in range(p - 1):
             vmap = {v: self.vertex_image[w] for v, w in vmap.items()}
-        view.vertex_image = vmap
+        # no __init__: its pass over the factors would redo the vertex map above
+        view = MapChain.__new__(MapChain)
+        view.graph, view.factors, view._table = self.graph, self.factors, self._table
+        view.copies, view.vertex_image, view._suffix_lengths = self.copies * p, vmap, None
         return view
 
     @cached_property
@@ -507,10 +529,14 @@ class MapChain:
         return self._suffix_lengths
 
     def direction(self, token: str) -> str:
-        cursor = ImageCursor(self, (token,))
-        while cursor.level < cursor.depth:
-            cursor.descend()
-        return self._table.tokens[cursor.node]
+        """The first letter of the image: one pass's first-letter table,
+        read once per pass."""
+        table = self._table
+        first = table.ends[0]
+        root, n = table.root, table.root_of[token]
+        for _ in range(self.copies - 1):
+            n = root[first[n]]
+        return table.tokens[first[n]]
 
     def image_length(self, token: str) -> int:
         return self._lengths()[self.copies][self._table.root_of[token]]
@@ -518,7 +544,7 @@ class MapChain:
     def word_image_length(self, word: Sequence[str]) -> int:
         lengths = self._lengths()[self.copies]
         root_of = self._table.root_of
-        return sum(lengths[root_of[t]] for t in word)
+        return sum(map(lengths.__getitem__, map(root_of.__getitem__, word)))
 
     def image_window(self, token: str, start: int, count: int) -> list[str]:
         """Letters [start, start+count) of the image of ``token``."""
@@ -536,10 +562,10 @@ class MapChain:
         }
         return GraphMap(self.graph, images, dict(self.vertex_image))
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict | None = None) -> dict:
         if self.copies > 1:
             raise MapError("a power of a chain is not serialized")
-        return {"factors": [f.to_json() for f in self.factors]}
+        return {"factors": [f.to_json(memo) for f in self.factors]}
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "MapChain":

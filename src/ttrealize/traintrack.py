@@ -26,7 +26,7 @@ from .core import (
     GraphError,
     Path,
     canonical_index_list,
-    is_legal_path,
+    is_legal_word,
     token_key,
 )
 from .maps import (
@@ -137,7 +137,7 @@ def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics
     edges = f.graph.positive_edges
     for factor in dict.fromkeys(f.factors):
         diag = TrainTrackDiagnostics(
-            tuple(e for e in edges if not is_legal_path(factor.image(e), gates)),
+            tuple(e for e in edges if not is_legal_word(factor.image_edges(e), gates)),
             tuple(_illegal_legal_turn_images(factor, gates)),
         )
         if not diag.ok:
@@ -149,10 +149,11 @@ def _illegal_legal_turn_images(f, gates: GateStructure) -> list[tuple[str, str]]
     bad = []
     df = direction_map(f)
     for v in f.graph.vertices:
-        # the pairs of turns_at, made into Turns only when reported
+        # the pairs of turns_at, made into Turns only when reported; a
+        # turn whose directions both stay put maps to itself
         for a, b in itertools.combinations(f.graph.edges_at(v), 2):
-            if gates.is_legal_turn(a, b):
-                da, db = df[a], df[b]
+            da, db = df[a], df[b]
+            if (da != a or db != b) and gates.is_legal_turn(a, b):
                 if da == db or not gates.is_legal_turn(da, db):
                     bad.append(Turn(a, b).tokens())
     return bad

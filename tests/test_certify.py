@@ -9,7 +9,7 @@ import pytest
 from ttrealize.cli import main
 from ttrealize.core import Graph, tighten_word
 from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix, compose_maps
-from ttrealize.realize import RealizationResult, realize
+from ttrealize.realize import RealizationResult, enumerate_admissible, realize
 from ttrealize.traintrack import LegalizingCertificate
 from ttrealize.certify import (
     CONDITIONAL,
@@ -234,3 +234,32 @@ def test_realize_verifies_its_legalizing_map_once(monkeypatch):
     decoded = RealizationResult.from_json(json.loads(json.dumps(result.to_json())))
     assert certify_realization(decoded).level == FULL_THEOREM
     assert len(calls) == 1
+
+
+def test_realize_grades_as_certify_does_on_every_rank_3_and_4_list():
+    """realize grades with the legalizing and train track verdicts it has
+    just derived; certify re-derives both from the document alone, and the
+    two reports agree."""
+    lists = [(rank, lst) for rank in (3, 4) for lst in enumerate_admissible(rank)]
+    assert len(lists) == 24
+    for rank, lst in lists:
+        result = realize(rank, lst)
+        doc = result.to_json()
+        decoded = RealizationResult.from_json(json.loads(json.dumps(doc)))
+        assert result.report.to_json() == certify_realization(decoded).to_json()
+
+
+def test_encoding_leaves_no_state_behind():
+    """Within one document a repeated factor is one shared dict; a second
+    call shares nothing with the first, so editing one document leaves the
+    next one as it was."""
+    result = realize(3, (1,))
+    text = json.dumps(result.to_json())
+    doc = result.to_json()
+    shared = doc["mixing_factors"][0]["map"]
+    assert doc["map_h"]["factors"][0] is shared
+    shared["images"]["a1"].append("zz")
+    assert doc["map_g"]["factors"][0]["images"]["a1"][-1] == "zz"
+    again = result.to_json()
+    assert json.dumps(again) == text
+    assert again == json.loads(text)

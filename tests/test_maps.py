@@ -231,14 +231,30 @@ def test_chain_window_and_compare_oracle():
 
 
 def test_map_validation_errors(rose2):
-    with pytest.raises(MapError):
-        GraphMap(rose2, {"a": (), "b": ("b",)})
-    with pytest.raises(MapError):
-        GraphMap(rose2, {"a": ("a",)})  # missing image for b
+    """Every branch of the construction check raises ``MapError``, a
+    token the graph does not have included."""
     two = Graph(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "u", "v")])
-    with pytest.raises(MapError):
-        # image endpoints incoherent with any vertex map
-        GraphMap(two, {"a": ("a",), "b": ("~b",), "c": ("c",)})
+    fixed = {"u": "u", "v": "v"}
+    cases = [
+        ("missing image for edge 'b'", rose2, {"a": ("a",)}, None),
+        ("contracted edge 'a'", rose2, {"a": (), "b": ("b",)}, None),
+        ("image of 'a' crosses unknown edge 'zz'", rose2, {"a": ("zz",), "b": ("b",)}, None),
+        ("image of 'a' crosses unknown edge 'zz'", rose2, {"a": ("a", "zz"), "b": ("b",)}, None),
+        # a runs u -> v, and b does not start at v
+        ("image of 'a' is not a path", two, {"a": ("a", "b"), "b": ("b",), "c": ("c",)}, None),
+        # a ~b returns to u, but v is fixed
+        ("image of 'a' ends at the wrong vertex", two,
+         {"a": ("a", "~b"), "b": ("b",), "c": ("c",)}, fixed),
+        ("vertex image 'w' not a vertex", rose2, {"a": ("a",), "b": ("b",)}, {"v1": "w"}),
+        # a sends u to u, ~b sends it to v
+        ("incoherent images at vertex 'u'", two, {"a": ("a",), "b": ("~b",), "c": ("c",)}, None),
+    ]
+    for message, graph, images, vertex_image in cases:
+        with pytest.raises(MapError) as caught:
+            GraphMap(graph, images, vertex_image)
+        assert str(caught.value) == message
+    with pytest.raises(MapError, match="unknown edge 'zz'"):
+        GraphMap.from_json(rose2, {"images": {"a": ["zz"], "b": ["b"]}})
 
 
 def test_map_json_round_trip(rose2):
