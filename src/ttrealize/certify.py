@@ -3,15 +3,15 @@
 The full certificate route checks the structural hypotheses (positive
 transition matrix and connected gate-Whitehead graphs for the mixing map,
 a valid legalizing certificate for the second factor, vertices and gates
-fixed, the composed map made of exactly these factors); together these
-guarantee a fully irreducible automorphism whose stable index list is the
-gate index list, with no periodic Nielsen paths.  The conditional tier
-grades maps that only offer primitivity, Whitehead connectivity and a
-clean bounded Nielsen-path search: honest but weaker.  Positivity and
-primitivity are read from sign patterns, never from exact matrix products.
-A map with no construction behind it is graded through its intrinsic
-gates by one grader, which ``stable_index_list`` and the experiment's
-``grade_sample`` share.
+fixed, the composed map made of exactly these factors, its gate index list
+the blueprint's); together these guarantee a fully irreducible
+automorphism whose stable index list is the requested one, with no
+periodic Nielsen paths.  The conditional tier grades maps that only offer
+primitivity, Whitehead connectivity and a clean bounded Nielsen-path
+search: honest but weaker.  Positivity and primitivity are read from sign
+patterns, never from exact matrix products.  A map with no construction
+behind it is graded through its intrinsic gates by one grader, which
+``stable_index_list`` and the experiment's ``grade_sample`` share.
 """
 
 from __future__ import annotations
@@ -73,11 +73,7 @@ class CertificationReport:
         }
 
 
-def certify_realization(
-    result,
-    inp_period_bound: int = 8,
-    inp_length_bound: int = 200,
-) -> CertificationReport:
+def certify_realization(result) -> CertificationReport:
     """Grade a realization result; the full tier needs the structural route.
     The stored legalizing verdict is re-derived at the stored C, never
     trusted, and every distinct factor of ``final`` is checked to be a
@@ -85,11 +81,10 @@ def certify_realization(
     c = result.legalizing_cert.branch_length
     ok = c >= result.blueprint.long_turn_length and verify_legalizing(result.g, result.gates, c).ok
     final_tt = check_train_track_morphism(result.final, result.gates).ok
-    return _grade(result, ok, final_tt, inp_period_bound, inp_length_bound)
+    return _grade(result, ok, final_tt)
 
 
-def _grade(result, legalizing_ok: bool, final_tt: bool,
-           inp_period_bound: int, inp_length_bound: int) -> CertificationReport:
+def _grade(result, legalizing_ok: bool, final_tt: bool) -> CertificationReport:
     """The grading, given whether ``g`` legalizes at the stored C and
     whether ``final`` is a train track morphism for the gates."""
     graph, gates = result.graph, result.gates
@@ -109,16 +104,17 @@ def _grade(result, legalizing_ok: bool, final_tt: bool,
     mixed = h.factors == tuple(rec.map for rec in result.mixing_factors) * 2
     if not mixed:
         notes.append("map_h is not the mixing factors applied twice")
+    index_list = gate_index_list(graph, gates, sorted(periodic_vertices(final)))
+    requested = index_list == result.blueprint.index_list
+    if not requested:
+        notes.append("the realized index list is not the blueprint's")
     structural = (h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
-                  and composed and mixed)
+                  and composed and mixed and requested)
 
     primitive, witness = is_primitive(final.sign_pattern)
     final_whitehead = whitehead_graphs(final, gates)
     wh_by_vertex = {v: w.is_connected() for v, w in final_whitehead.items()}
-    inp = find_periodic_inps(
-        final, gates, period_bound=inp_period_bound, length_bound=inp_length_bound
-    )
-    index_list = gate_index_list(graph, gates, sorted(periodic_vertices(final)))
+    inp = find_periodic_inps(final, gates)
 
     if structural and final_tt:
         level = FULL_THEOREM

@@ -33,17 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma separated entries 'k' or 'k/2'")
     p_realize.add_argument("--out", type=str, default=None)
     p_realize.add_argument("--format", choices=("json", "text"), default="json")
-    p_realize.add_argument("--inp-period-bound", type=int, default=8)
-    p_realize.add_argument("--inp-length-bound", type=int, default=200)
-    p_realize.add_argument("--legalizing-cmax", type=int, default=None)
-    p_realize.add_argument("--max-rounds", type=int, default=32)
 
     p_certify = sub.add_parser("certify", help="re-certify a written realization")
     p_certify.add_argument("input", type=str, help="realization JSON document")
     p_certify.add_argument("--out", type=str, default=None)
     p_certify.add_argument("--format", choices=("json", "text"), default="json")
-    p_certify.add_argument("--inp-period-bound", type=int, default=8)
-    p_certify.add_argument("--inp-length-bound", type=int, default=200)
 
     p_exp = sub.add_parser("experiment", help="random positive compositions on a rose")
     p_exp.add_argument("--rank", type=int, required=True)
@@ -74,15 +68,7 @@ def _run_realize(args) -> int:
     from .realize import realize
     from .certify import FULL_THEOREM
 
-    entries = parse_index_list(args.index_list)
-    result = realize(
-        args.rank,
-        entries,
-        inp_period_bound=args.inp_period_bound,
-        inp_length_bound=args.inp_length_bound,
-        c_max=args.legalizing_cmax,
-        max_rounds=args.max_rounds,
-    )
+    result = realize(args.rank, parse_index_list(args.index_list))
     if args.format == "json":
         _emit(json.dumps(result.to_json(), indent=2), args.out)
     else:
@@ -120,11 +106,7 @@ def _run_certify(args) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         print(f"malformed realization document: {exc!r}", file=sys.stderr)
         return 2
-    report = certify_realization(
-        result,
-        inp_period_bound=args.inp_period_bound,
-        inp_length_bound=args.inp_length_bound,
-    )
+    report = certify_realization(result)
     if args.format == "json":
         _emit(json.dumps(report.to_json(), indent=2), args.out)
     else:

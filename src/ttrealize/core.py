@@ -289,9 +289,6 @@ class GateStructure:
         in token order; one table, built with the structure."""
         return self._continuations[token]
 
-    def is_same_gate(self, e: str, e2: str) -> bool:
-        return self._gate_of[e] == self._gate_of[e2]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GateStructure) and self.gates == other.gates
 

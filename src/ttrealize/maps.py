@@ -324,6 +324,8 @@ def _bool_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 # subtrees of at most this many letters are spelled out once per table
 _SPELLED = 64
+MATERIALIZE_BUDGET = 2_000_000  # letters MapChain.materialize spells in all
+COMPARISON_STEP_BUDGET = 20_000_000  # cursor steps of one image comparison
 
 
 class _ChainTable:
@@ -550,11 +552,11 @@ class MapChain:
         """Letters [start, start+count) of the image of ``token``."""
         return word_image_window(self, (token,), start, count)
 
-    def materialize(self, budget: int = 2_000_000) -> GraphMap:
+    def materialize(self) -> GraphMap:
         total = sum(self.image_length(e) for e in self.graph.positive_edges)
-        if total > budget:
+        if total > MATERIALIZE_BUDGET:
             raise MapError(
-                f"chain images total {total} letters, over the budget {budget}"
+                f"chain images total {total} letters, over the budget {MATERIALIZE_BUDGET}"
             )
         images = {
             e: tuple(self.image_window(e, 0, self.image_length(e)))
@@ -672,8 +674,7 @@ class ImageCursor:
         return out
 
 
-def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
-             step_budget: int = 20_000_000):
+def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str]):
     """Run one cursor down each image to their first divergence; returns
     both cursors and ``compare_image_words``'s outcome.  On a divergence
     the cursors sit on the two letters that differ.
@@ -691,6 +692,7 @@ def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
     table = a.table
     lengths, level_of, kids, root = a.lengths, table.level, table.kids, table.root
     boundaries, m, depth = len(table.tokens), table.depth, a.depth
+    budget = COMPARISON_STEP_BUDGET
     stack_a, na, la = a.stack, a.node, a.level
     stack_b, nb, lb = b.stack, b.node, b.level
     if na is not None:
@@ -701,9 +703,9 @@ def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
     pos = steps = 0
     while True:
         steps += 1
-        if steps > step_budget:
+        if steps > budget:
             raise ComparisonBudgetError(
-                f"image comparison exceeded {step_budget} steps at position {pos}"
+                f"image comparison exceeded {budget} steps at position {pos}"
             )
         if na is None or nb is None:
             if na is None and nb is None:
@@ -777,8 +779,7 @@ def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
     return a, b, outcome
 
 
-def compare_image_words(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
-                        step_budget: int = 20_000_000):
+def compare_image_words(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str]):
     """Locate the first divergence of two chain images.
 
     Returns ("diverge", pos, letter_a, letter_b) where pos is the common
@@ -787,7 +788,7 @@ def compare_image_words(chain: MapChain, word_a: Sequence[str], word_b: Sequence
     subtrees are skipped whole, so structurally shared prefixes (the
     common case for the compositions built here) cost O(1) each.
     """
-    return _diverge(chain, word_a, word_b, step_budget)[2]
+    return _diverge(chain, word_a, word_b)[2]
 
 
 def strip_windows(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str], count: int):

@@ -29,17 +29,15 @@ class Pi1Marking:
         return tuple(self.basis[e] for e in sorted(self.basis, key=token_key))
 
 
-def build_marking(graph: Graph, basepoint: str | None = None) -> Pi1Marking:
-    """Deterministic marking: breadth-first tree from the basepoint.
+def build_marking(graph: Graph) -> Pi1Marking:
+    """Deterministic marking: breadth-first tree from the first vertex,
+    which is the basepoint.
 
     Tree edges are chosen preferring ``c``-labelled edges in index order,
     so the circle subdivision graphs built in this package always get the
     tree ``c1..c_(l-1)``.  Basis letters follow the positive edge order.
     """
-    if basepoint is None:
-        basepoint = graph.vertices[0]
-    if basepoint not in set(graph.vertices):
-        raise MarkingError(f"unknown basepoint {basepoint!r}")
+    basepoint = graph.vertices[0]
     preference = sorted(
         graph.positive_edges,
         key=lambda e: (0 if e.startswith("c") else 1, token_key(e)),

@@ -45,6 +45,9 @@ ODD_LOOP_COUNT_NOTE = (
     " d-edge, keeping the graph rank equal to the requested rank"
 )
 
+SELECT_MAX_LEN = 128  # longest word the selector search tries
+LEGALIZING_MAX_ROUNDS = 32  # most legalizers the legalizing search appends
+
 
 class InvalidIndexList(ValueError):
     """Raised for index lists outside the admissible range."""
@@ -84,6 +87,11 @@ class RealizationBlueprint:
     @property
     def long_turn_length(self) -> int:
         return self.circle_length + 1 if self.case == CASE_MAX_ODD else 1
+
+    @property
+    def c_max(self) -> int:
+        """The cap on the legalizing search's C, and on a document's stored C."""
+        return 64 * self.long_turn_length
 
     def to_json(self) -> dict:
         return {
@@ -417,7 +425,7 @@ def clause_violations(
     return [message for ok, message in checks if not ok]
 
 
-def _select(graph: Graph, gates: GateStructure, clause: Clause, max_len: int = 128):
+def _select(graph: Graph, gates: GateStructure, clause: Clause):
     """The shortest word satisfying ``clause``, lexicographically least.
 
     A breadth-first search over legal extensions that avoid the banned
@@ -450,7 +458,7 @@ def _select(graph: Graph, gates: GateStructure, clause: Clause, max_len: int = 1
         last = word[-1]
         if done(last, state):
             return word
-        if len(word) >= max_len:
+        if len(word) >= SELECT_MAX_LEN:
             continue
         for nxt in gates.legal_continuations(last):
             if nxt in clause.banned:
@@ -689,31 +697,23 @@ def build_legalizing_map(
     bp: RealizationBlueprint,
     h: MapChain,
     legalizers: list[FactorRecord],
-    c_max: int | None = None,
-    max_rounds: int = 32,
 ) -> tuple[MapChain, LegalizingCertificate, list[str]]:
     """Certified legalizing composition of h and the turn legalizers.
 
     Starts from h ∘ (all legalizers) ∘ h, ladders the checked branch
     length upward while witnesses are merely not-g-long, and prepends the
     matching legalizer whenever a witness family has an illegal image
-    turn.  Existence of some legalizing composition is guaranteed, so an
+    turn, for C up to ``bp.c_max`` and ``LEGALIZING_MAX_ROUNDS`` rounds.
+    Existence of some legalizing composition is guaranteed, so an
     exhausted search signals a bug rather than a hard instance.
     """
-    L = bp.long_turn_length
-    if c_max is None:
-        c_max = 64 * L
-    if c_max < L:
-        raise ValueError(f"legalizing C_max {c_max} is below the long-turn length {L}")
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
     by_turn = {frozenset(rec.turn.tokens()): rec for rec in legalizers if rec.turn}
     factors = list(h.factors) + [rec.map for rec in legalizers] + list(h.factors)
     log: list[str] = []
-    for round_no in range(max_rounds + 1):
+    for round_no in range(LEGALIZING_MAX_ROUNDS + 1):
         chain = MapChain(graph, factors)
-        C = L
-        while C <= c_max:
+        C = bp.long_turn_length
+        while C <= bp.c_max:
             cert = verify_legalizing(chain, gates, C)
             if cert.ok:
                 log.append(f"round {round_no}: legalizing at C={C}")
@@ -738,7 +738,7 @@ def build_legalizing_map(
             f"round {round_no}: witness {cert.witness_image_turn} at C={cert.branch_length};"
             f" appended {rec.name}"
         )
-    raise LegalizingSearchError(f"legalizing search exceeded {max_rounds} rounds: {log!r}")
+    raise LegalizingSearchError(f"legalizing search exceeded {LEGALIZING_MAX_ROUNDS} rounds: {log!r}")
 
 
 # -- the full pipeline -----------------------------------------------------------
@@ -805,6 +805,8 @@ class RealizationResult:
         cert_data = data["legalizing"]
         if not isinstance(cert_data["C"], int):
             raise TypeError(f"legalizing C must be an integer, got {cert_data['C']!r}")
+        if cert_data["C"] > bp.c_max:
+            raise ValueError(f"legalizing C = {cert_data['C']} exceeds its cap {bp.c_max}")
         cert = LegalizingCertificate(
             branch_length=cert_data["C"],
             checked=cert_data["checked"],
@@ -828,14 +830,7 @@ class RealizationResult:
         )
 
 
-def realize(
-    rank: int,
-    entries: Sequence[int],
-    inp_period_bound: int = 8,
-    inp_length_bound: int = 200,
-    c_max: int | None = None,
-    max_rounds: int = 32,
-) -> RealizationResult:
+def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
     """Full pipeline: blueprint, graph, selectors, h, certified g, h∘g.
 
     The returned result carries the certification report produced by the
@@ -857,9 +852,7 @@ def realize(
         raise SelectorError("mixing map transition matrix is not positive")
     if any(h.image_length(e) < 2 for e in graph.positive_edges):
         raise SelectorError("mixing map fails the length-2 expansion requirement")
-    g, cert, log = build_legalizing_map(
-        graph, gates, bp, h, legalizers, c_max=c_max, max_rounds=max_rounds
-    )
+    g, cert, log = build_legalizing_map(graph, gates, bp, h, legalizers)
     final = MapChain(graph, g.factors + h.factors)
     marking = build_marking(graph)
     result = RealizationResult(
@@ -880,5 +873,5 @@ def realize(
 
     # build_legalizing_map has just verified g at C, and every factor of
     # final is one of the records checked above: neither is checked again
-    result.report = _certify._grade(result, cert.ok, True, inp_period_bound, inp_length_bound)
+    result.report = _certify._grade(result, cert.ok, True)
     return result

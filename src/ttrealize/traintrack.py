@@ -43,6 +43,12 @@ FOUND = "found"
 LEGALIZING = "legalizing"
 FAILED = "failed"
 
+INP_PERIOD_BOUND = 8  # largest period the Nielsen path search tries
+INP_LENGTH_BOUND = 200  # letters kept of each branch after a strip step
+INP_MAX_STEPS = 48  # strip steps taken from one turn at one period
+LEGALIZING_FAMILY_BUDGET = 500_000  # long-turn families verify_legalizing resolves
+LONG_TURN_IMAGE_BUDGET = 1_000_000  # letters long_turn_image spells per branch
+
 
 class VerificationBudgetError(RuntimeError):
     """Raised when image agreement outlasts every comparison budget."""
@@ -345,7 +351,7 @@ def count_long_turns(graph: Graph, gates: GateStructure, length: int) -> int:
     return total
 
 
-def long_turn_image(g, lt: LongTurn, budget: int = 1_000_000) -> LongTurn | None:
+def long_turn_image(g, lt: LongTurn) -> LongTurn | None:
     """The image long turn after erasing the common initial subpath.
 
     Returns None when one branch image is a subpath of the other (the long
@@ -355,7 +361,7 @@ def long_turn_image(g, lt: LongTurn, budget: int = 1_000_000) -> LongTurn | None
     """
     la = g.word_image_length(lt.branch_a.edges)
     lb = g.word_image_length(lt.branch_b.edges)
-    if max(la, lb) > budget:
+    if max(la, lb) > LONG_TURN_IMAGE_BUDGET:
         raise MapError("long turn image exceeds materialization budget")
     wa = g.apply_path(lt.branch_a).edges
     wb = g.apply_path(lt.branch_b).edges
@@ -410,12 +416,7 @@ class _Failure(Exception):
         self.image_turn = image_turn
 
 
-def verify_legalizing(
-    g,
-    gates: GateStructure,
-    branch_length: int,
-    family_budget: int = 500_000,
-) -> LegalizingCertificate:
+def verify_legalizing(g, gates: GateStructure, branch_length: int) -> LegalizingCertificate:
     """Decide whether every long turn in LT_C is g-long with legal image.
 
     Long turns are resolved family-wise: once the branch images diverge,
@@ -433,9 +434,9 @@ def verify_legalizing(
     def resolve(br_a: tuple[str, ...], br_b: tuple[str, ...]):
         nonlocal families
         families += 1
-        if families > family_budget:
+        if families > LEGALIZING_FAMILY_BUDGET:
             raise VerificationBudgetError(
-                f"legalizing verification exceeded {family_budget} families"
+                f"legalizing verification exceeded {LEGALIZING_FAMILY_BUDGET} families"
             )
         outcome = compare_image_words(chain, br_a, br_b)
         if outcome[0] == "diverge":
@@ -518,18 +519,13 @@ class InpSearchResult:
         }
 
 
-def find_periodic_inps(
-    f,
-    gates: GateStructure,
-    period_bound: int = 8,
-    length_bound: int = 200,
-    max_steps: int = 48,
-) -> InpSearchResult:
+def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
     """Bounded search for periodic Nielsen paths with vertex endpoints.
 
-    For each illegal turn (e, e') and period p, a fixed branch pair (x, y)
-    with f^p(x) = w.x and f^p(y) = w.y is hunted by iterating the strip
-    step (cancel the common image prefix, truncate to the length bound).
+    For each illegal turn (e, e') and period p up to INP_PERIOD_BOUND, a
+    fixed branch pair (x, y) with f^p(x) = w.x and f^p(y) = w.y is hunted
+    by iterating the strip step (cancel the common image prefix, keep
+    INP_LENGTH_BOUND letters of each branch) at most INP_MAX_STEPS times.
     The first letters of such a pair satisfy Df^p(e) = Df^p(e'), so turns
     whose direction pair never degenerates are skipped outright.  A found
     pair is verified against the exact fixed-state equations; the reduced
@@ -544,10 +540,6 @@ def find_periodic_inps(
     Absence is bounded-complete for vertex-endpoint candidates only;
     Nielsen paths with endpoints inside edges are out of scope here.
     """
-    for name, bound in (("period_bound", period_bound), ("length_bound", length_bound),
-                        ("max_steps", max_steps)):
-        if bound < 1:
-            raise ValueError(f"{name} must be at least 1, got {bound}")
     graph = f.graph
     for e in graph.positive_edges:
         if f.image_length(e) < 2:
@@ -556,7 +548,7 @@ def find_periodic_inps(
     # direction orbits up to the period bound
     df = direction_map(f)
     dirs = {t: [t] for t in graph.directed_edges}
-    for _ in range(period_bound):
+    for _ in range(INP_PERIOD_BOUND):
         for t in graph.directed_edges:
             dirs[t].append(df[dirs[t][-1]])
     found = []
@@ -564,24 +556,24 @@ def find_periodic_inps(
     tables: dict[int, StripSteps] = {}
     for turn in illegal_turns(graph, gates):
         e, e2 = turn.tokens()
-        for p in range(1, period_bound + 1):
+        for p in range(1, INP_PERIOD_BOUND + 1):
             if dirs[e][p] != dirs[e2][p]:
                 continue
             if p not in tables:
-                tables[p] = StripSteps(base.power(p), length_bound, notes)
-            hit = _iterate_strip_states(tables[p], turn, max_steps)
+                tables[p] = StripSteps(base.power(p), notes)
+            hit = _iterate_strip_states(tables[p], turn)
             if hit is not None:
                 found.append((turn, p, hit))
     verdict = FOUND if found else NONE_FOUND
-    return InpSearchResult(period_bound, length_bound, tuple(found), verdict, tuple(notes))
+    return InpSearchResult(INP_PERIOD_BOUND, INP_LENGTH_BOUND, tuple(found), verdict, tuple(notes))
 
 
-def _iterate_strip_states(steps: StripSteps, turn: Turn, max_steps: int):
+def _iterate_strip_states(steps: StripSteps, turn: Turn):
     fp = steps.fp
     x: tuple[str, ...] = (turn.a,)
     y: tuple[str, ...] = (turn.b,)
     seen = {(x, y)}
-    for _ in range(max_steps):
+    for _ in range(INP_MAX_STEPS):
         step = steps.step(x, y)
         if step is None:
             return None
@@ -606,10 +598,10 @@ class StripSteps:
     """The strip steps taken at one power ``fp``, keyed by state (x, y).
 
     ``step(x, y)`` strips the common prefix of fp(x) and fp(y) and returns
-    (cut, x', y'): the prefix length and the next ``bound`` letters of
-    each image from there.  It returns None when one image contains the
-    other (no vertex Nielsen path this way) or when the comparison runs
-    out of budget.  A state whose swap (y, x) was already taken reads that
+    (cut, x', y'): the prefix length and the next ``INP_LENGTH_BOUND``
+    letters of each image from there.  It returns None when one image
+    contains the other (no vertex Nielsen path this way) or when the
+    comparison runs out of budget.  A state whose swap (y, x) was already taken reads that
     step with the two windows exchanged, since the divergence of two
     images is symmetric, and a containment is None either way.  ``taken``
     holds the step returned for every state asked, except a step that ran
@@ -617,9 +609,8 @@ class StripSteps:
     afresh each time, so every note is still written.
     """
 
-    def __init__(self, fp: MapChain, bound: int, notes: list[str]):
+    def __init__(self, fp: MapChain, notes: list[str]):
         self.fp = fp
-        self.bound = bound
         self.notes = notes
         self.taken: dict[tuple, tuple | None] = {}
 
@@ -632,7 +623,7 @@ class StripSteps:
             result = None if swap is None else (swap[0], swap[2], swap[1])
         else:
             try:
-                outcome = strip_windows(self.fp, x, y, self.bound)
+                outcome = strip_windows(self.fp, x, y, INP_LENGTH_BOUND)
             except ComparisonBudgetError:
                 self.notes.append("strip step exceeded the comparison budget")
                 return None

@@ -170,6 +170,17 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
     assert main(["certify", str(path)]) == 3
 
 
+def test_relabelled_blueprint_loses_the_full_tier():
+    """The full tier certifies the requested list: a rank 4 [1/2] document
+    whose blueprint asks for [1] realizes the wrong list, and says so."""
+    doc = json.loads(json.dumps(realize(4, (1,)).to_json()))
+    doc["blueprint"]["entries_doubled"] = [2]
+    report = certify_realization(RealizationResult.from_json(doc))
+    assert report.index_list == (1,)
+    assert report.level == CONDITIONAL
+    assert "the realized index list is not the blueprint's" in report.notes
+
+
 def test_documents_with_the_old_pi1_key_still_decode():
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
     assert "pi1" not in doc

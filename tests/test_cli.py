@@ -109,31 +109,27 @@ def test_enumerate_text_and_json(tmp_path, capsys):
     assert payload["count"] == len(payload["lists"]) == 18
 
 
-def test_out_of_range_search_bounds_exit_two(tmp_path, capsys):
-    code = main(["realize", "--rank", "3", "--index-list", "1/2", "--inp-period-bound", "-1"])
-    assert code == 2
-    assert "period_bound must be at least 1" in capsys.readouterr().err
-    out = tmp_path / "result.json"
-    assert main(["realize", "--rank", "3", "--index-list", "1/2", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["certify", str(out), "--inp-length-bound", "0"]) == 2
-    assert "length_bound must be at least 1" in capsys.readouterr().err
-    assert main(["realize", "--rank", "3", "--index-list", "1/2", "--max-rounds", "-1"]) == 2
-    assert "max_rounds must be at least 0" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["realize", "--rank", "3", "--index-list", "1/2", "--inp-period-bound", "8"],
+    ["realize", "--rank", "3", "--index-list", "1/2", "--inp-length-bound", "200"],
+    ["realize", "--rank", "3", "--index-list", "1/2", "--legalizing-cmax", "64"],
+    ["realize", "--rank", "3", "--index-list", "1/2", "--max-rounds", "32"],
+    ["certify", "result.json", "--inp-period-bound", "8"],
+    ["certify", "result.json", "--inp-length-bound", "200"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_search_bound_flags_are_gone(capsys, argv):
+    """The search bounds are fixed: a command line that still sets one is
+    rejected by argparse with exit 2, before any work is done."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 def test_experiment_negative_samples_exits_two(capsys):
     code = main(["experiment", "--rank", "3", "--length", "5", "--samples", "-2"])
     assert code == 2
     assert "samples must be at least 0" in capsys.readouterr().err
-
-
-def test_legalizing_cmax_below_long_turn_length_exits_two(capsys):
-    code = main([
-        "realize", "--rank", "6", "--index-list", "1,1,1/2,1,1", "--legalizing-cmax", "1",
-    ])
-    assert code == 2
-    assert "below the long-turn length" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module, name, error", [
@@ -174,8 +170,8 @@ def _drop_gates(doc):
 
 @pytest.mark.parametrize(
     "edit",
-    [_break_images, _break_carrier, _set_c("2"), _set_c(None), _drop_gates],
-    ids=["images-list", "carrier-list", "C-string", "C-null", "missing-key"],
+    [_break_images, _break_carrier, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates],
+    ids=["images-list", "carrier-list", "C-string", "C-null", "C-over-cap", "missing-key"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, edit):
     out = tmp_path / "result.json"

@@ -333,9 +333,6 @@ def test_inp_search_vacuous_without_illegal_turns():
     gates = GateStructure.singletons(loop)
     inp = find_periodic_inps(f, gates)
     assert inp.verdict == NONE_FOUND
-    for bounds in ({"period_bound": -1}, {"length_bound": 0}, {"max_steps": 0}):
-        with pytest.raises(ValueError, match="must be at least 1"):
-            find_periodic_inps(f, gates, **bounds)
 
 
 def test_inp_search_requires_expansion(rose2):
@@ -360,7 +357,7 @@ def test_inp_search_finds_fixed_branch_pair():
         rose, [["a", "b"], ["c"], ["~a"], ["~b"], ["~c"]]
     )
     assert check_train_track_morphism(f, gates).ok
-    inp = find_periodic_inps(f, gates, period_bound=4)
+    inp = find_periodic_inps(f, gates)
     assert inp.verdict == FOUND
     (turn, period, (x, y)) = inp.found[0]
     assert set(turn.tokens()) == {"a", "b"}
@@ -383,12 +380,12 @@ def test_inp_search_fibonacci_square_has_no_vertex_candidates(rose2):
     f = fib(rose2)
     square = MapChain(rose2, [f, f])
     gates = intrinsic_gate_structure(f)
-    inp = find_periodic_inps(square, gates, period_bound=4)
+    inp = find_periodic_inps(square, gates)
     assert inp.verdict == NONE_FOUND
 
 
 def _fresh_strip_step(table, x, y):
-    outcome = strip_windows(table.fp, x, y, table.bound)
+    outcome = strip_windows(table.fp, x, y, traintrack.INP_LENGTH_BOUND)
     if outcome[0] == "contained":
         return None
     _, cut, window_x, window_y = outcome
@@ -433,7 +430,7 @@ def test_strip_step_out_of_budget_is_noted_every_time(monkeypatch):
 
     monkeypatch.setattr(traintrack, "strip_windows", exhausted)
     notes = []
-    steps = traintrack.StripSteps(None, 200, notes)
+    steps = traintrack.StripSteps(None, notes)
     for x, y in ((("a",), ("b",)), (("b",), ("a",)), (("a",), ("b",))):
         assert steps.step(x, y) is None
     assert notes == ["strip step exceeded the comparison budget"] * 3
