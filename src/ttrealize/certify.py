@@ -6,12 +6,16 @@ a valid legalizing certificate for the second factor, vertices and gates
 fixed, the composed map made of exactly these factors, its gate index list
 the blueprint's); together these guarantee a fully irreducible
 automorphism whose stable index list is the requested one, with no
-periodic Nielsen paths.  The conditional tier grades maps that only offer
-primitivity, Whitehead connectivity and a clean bounded Nielsen-path
-search: honest but weaker.  Positivity and primitivity are read from sign
-patterns, never from exact matrix products.  A map with no construction
-behind it is graded through its intrinsic gates by one grader, which
-``stable_index_list`` and the experiment's ``grade_sample`` share.
+periodic Nielsen paths.  That absence is a conclusion of the theorem,
+not a hypothesis, so a map certified this way runs no Nielsen-path search
+and its report reads ``not_needed``.  The bounded search runs only where
+the structural route fails: the conditional tier grades maps that only
+offer primitivity, Whitehead connectivity and a clean search, honest but
+weaker.  Positivity and primitivity are read from sign patterns, never
+from exact matrix products.  A map with no construction behind it is
+graded through its intrinsic gates by one grader, which always runs the
+search and which ``stable_index_list`` and the experiment's
+``grade_sample`` share.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .traintrack import (
 FULL_THEOREM = "full_theorem_62"
 CONDITIONAL = "conditional"
 FAILED = "failed"
+NOT_NEEDED = "not_needed"  # the report's search verdict when no search ran
 
 _LEVEL_ORDER = {FAILED: 0, CONDITIONAL: 1, FULL_THEOREM: 2}
 
@@ -52,10 +57,14 @@ class CertificationReport:
     primitivity_witness: int | None
     whitehead_connected: dict[str, bool]
     legalizing_ok: bool | None
-    inp: InpSearchResult
+    inp: InpSearchResult | None  # None: the structural route made the search unnecessary
     index_list: tuple[int, ...]
     level: str
     notes: tuple[str, ...] = ()
+
+    @property
+    def inp_verdict(self) -> str:
+        return NOT_NEEDED if self.inp is None else self.inp.verdict
 
     def to_json(self) -> dict:
         return {
@@ -68,7 +77,7 @@ class CertificationReport:
             "whitehead": dict(self.whitehead_connected),
             "legalizing_ok": self.legalizing_ok,
             "index_list": [format_index_entry(d) for d in self.index_list],
-            "inp": self.inp.to_json(),
+            "inp": {"verdict": NOT_NEEDED} if self.inp is None else self.inp.to_json(),
             "notes": list(self.notes),
         }
 
@@ -114,9 +123,12 @@ def _grade(result, legalizing_ok: bool, final_tt: bool) -> CertificationReport:
     primitive, witness = is_primitive(final.sign_pattern)
     final_whitehead = whitehead_graphs(final, gates)
     wh_by_vertex = {v: w.is_connected() for v, w in final_whitehead.items()}
-    inp = find_periodic_inps(final, gates)
+    full = structural and final_tt
+    # no periodic Nielsen path is a conclusion of Theorem 6.2, not one of
+    # its hypotheses: the bounded search runs only where the route fails
+    inp = None if full else find_periodic_inps(final, gates)
 
-    if structural and final_tt:
+    if full:
         level = FULL_THEOREM
     elif (
         final_tt
@@ -165,6 +177,16 @@ def _intrinsic_grade(f):
     return gates, index_list, power, inp
 
 
+def within_index_bound(graph, doubled: tuple[int, ...]) -> bool:
+    """Whether a doubled index sum lies in [1, 2N - 2], N the graph's rank.
+
+    An iwip's stable tree has a branch point, so its index sum is at
+    least 1/2, and it is at most N - 1 (Gaboriau-Jaeger-Levitt-Lustig):
+    a list outside this range is never an iwip's.
+    """
+    return 1 <= sum(doubled) <= 2 * graph.rank - 2
+
+
 def stable_index_list(f) -> tuple[tuple[int, ...], bool]:
     """Gate index list of the intrinsic gates at periodic vertices.
 
@@ -172,11 +194,13 @@ def stable_index_list(f) -> tuple[tuple[int, ...], bool]:
     bounded Nielsen-path search (periods up to 8, branches up to 200
     letters) does not come back clean; running the search on a proper power
     (because the map itself does not expand every edge) also sets it, since
-    period coverage is then thinned out.  A caveat means the list may
-    under- or over-count the stable index.
+    period coverage is then thinned out.  It is also set when the doubled
+    sum lies outside [1, 2N - 2], which no iwip's index list does.  A
+    caveat means the list may under- or over-count the stable index.
     """
     _, doubled, power, inp = _intrinsic_grade(f)
-    return (doubled, power is None or power > 1 or inp.verdict != NONE_FOUND)
+    clean = power == 1 and inp.verdict == NONE_FOUND
+    return (doubled, not (clean and within_index_bound(f.graph, doubled)))
 
 
 def expanding_power(f) -> int | None:

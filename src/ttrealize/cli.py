@@ -86,7 +86,7 @@ def _realization_summary(result) -> str:
         f"primitivity witness  {report.primitivity_witness}",
         f"legalizing C         {result.legalizing_cert.branch_length}"
         f" ({result.legalizing_cert.checked} long turns)",
-        f"nielsen path search  {report.inp.verdict}",
+        f"nielsen path search  {report.inp_verdict}",
     ]
     return "\n".join(lines)
 

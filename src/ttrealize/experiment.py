@@ -20,9 +20,12 @@ from dataclasses import dataclass, field
 from .core import Graph, format_index_list
 from .maps import GraphMap, MapChain, is_primitive
 from .traintrack import NONE_FOUND, whitehead_graphs
-from .certify import _intrinsic_grade
+from .certify import _intrinsic_grade, within_index_bound
 
 CATEGORY_CONDITIONAL = "conditional_iwip"
+# clean by every bounded test, but with an index sum no iwip has: the
+# vertex-only search cannot see the Nielsen paths that would decide it
+CATEGORY_UNRESOLVED = "unresolved"
 CATEGORY_INP = "inp_present"
 CATEGORY_NON_EXPANDING = "non_expanding"
 CATEGORY_OTHER = "other"
@@ -89,8 +92,12 @@ def grade_sample(chain: MapChain) -> SampleGrade:
     wh = whitehead_graphs(chain, gates)["v1"].is_connected()
     if inp.verdict != NONE_FOUND:
         category = CATEGORY_INP
+    elif not (primitive and wh):
+        category = CATEGORY_OTHER
+    elif within_index_bound(chain.graph, index_list):
+        category = CATEGORY_CONDITIONAL
     else:
-        category = CATEGORY_CONDITIONAL if primitive and wh else CATEGORY_OTHER
+        category = CATEGORY_UNRESOLVED
     return SampleGrade(category, index_list, primitive, wh, inp.verdict)
 
 
@@ -137,6 +144,11 @@ class FrequencyTable:
         ]
         for k in sorted(self.categories):
             lines.append(f"  {k:<16} {self.categories[k]:>5}")
+        if CATEGORY_UNRESOLVED in self.categories:
+            lines.append(
+                f"  ({CATEGORY_UNRESOLVED}: index sum outside [1, 2N-2]; the vertex-only"
+                " search cannot see the Nielsen paths that would decide these samples)"
+            )
         lines.append("index lists among conditional-iwip samples:")
         for k, v in sorted(self.list_counts.items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(f"  {k:<20} {v:>5}")

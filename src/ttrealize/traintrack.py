@@ -539,6 +539,11 @@ def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
 
     Absence is bounded-complete for vertex-endpoint candidates only;
     Nielsen paths with endpoints inside edges are out of scope here.
+
+    ``certify`` runs the search only where the structural route of
+    Theorem 6.2 fails, since that route concludes there are no periodic
+    Nielsen paths; its intrinsic grader, behind ``stable_index_list`` and
+    the experiment, always runs it.
     """
     graph = f.graph
     for e in graph.positive_edges:

@@ -9,10 +9,11 @@ import random
 import pytest
 
 from ttrealize.cli import enumerate_admissible
-from ttrealize.core import canonical_index_list, format_index_list
+from ttrealize.core import canonical_index_list
 from ttrealize.maps import compose_maps, transition_matrix
 from ttrealize.marking import verify_homotopy_equivalence
 from ttrealize.traintrack import (
+    find_periodic_inps,
     intrinsic_gate_structure,
     legal_paths_from,
     whitehead_graphs,
@@ -154,7 +155,9 @@ def test_criterion_4_nielsen_path_behavior(sweep, rose2):
     )
     assert len(chosen) >= 20
     for result in chosen:
-        inp = result.report.inp
+        # the full tier runs no search; the cross-check runs it here
+        assert result.report.to_json()["inp"] == {"verdict": "not_needed"}
+        inp = find_periodic_inps(result.final, result.gates)
         assert inp.verdict == "none_found", result.blueprint
         assert inp.period_bound == 8 and inp.length_bound == 200
     from ttrealize.maps import GraphMap
@@ -163,8 +166,9 @@ def test_criterion_4_nielsen_path_behavior(sweep, rose2):
     status, t = periodic_class_status(fib, ("a", "b", "~a", "~b"), t_max=6)
     assert (status, t) == ("recurrent", 2)
     print(
-        "ACCEPTANCE 4: PASS - bounded Nielsen-path search clean on 20"
-        " certified realizations across all three cases; the golden-ratio"
+        "ACCEPTANCE 4: PASS - bounded Nielsen-path search, run apart from the"
+        " certificate, clean on 20 certified realizations across all three"
+        " cases; the golden-ratio"
         " rose map's commutator class recurs at exponent 2 in the cyclic test"
     )
 

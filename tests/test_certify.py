@@ -7,13 +7,11 @@ import json
 import pytest
 
 from ttrealize.cli import main
-from ttrealize.core import Graph, tighten_word
-from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix, compose_maps
+from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix
 from ttrealize.realize import RealizationResult, enumerate_admissible, realize
-from ttrealize.traintrack import LegalizingCertificate
+from ttrealize.traintrack import find_periodic_inps
 from ttrealize.certify import (
     CONDITIONAL,
-    FAILED,
     FULL_THEOREM,
     _LEVEL_ORDER,
     certify_realization,
@@ -37,8 +35,12 @@ def test_full_certificate_on_realization(even_instance):
     assert report.primitivity_ok
     assert report.primitivity_witness is not None
     assert all(report.whitehead_connected.values())
-    assert report.inp.verdict == "none_found"
+    assert report.inp is None and report.inp_verdict == "not_needed"
     assert report.index_list == even_instance.blueprint.index_list
+    # the theorem's conclusion, cross-checked by the bounded search
+    inp = find_periodic_inps(even_instance.final, even_instance.gates)
+    assert inp.verdict == "none_found"
+    assert inp.period_bound == 8 and inp.length_bound == 200
 
 
 def test_identity_second_factor_fails_certification(odd_instance):
@@ -142,7 +144,12 @@ def test_report_json_shape(even_instance):
     assert data["primitivity"]["ok"] is True
     assert set(data["whitehead"]) == set(even_instance.graph.vertices)
     assert data["index_list"] == ["1", "1", "1", "1/2", "1/2"]
-    assert data["inp"]["verdict"] == "none_found"
+    assert data["inp"] == {"verdict": "not_needed"}
+    decoded = RealizationResult.from_json(json.loads(json.dumps(even_instance.to_json())))
+    assert certify_realization(decoded).to_json()["inp"] == {"verdict": "not_needed"}
+    inp = find_periodic_inps(decoded.final, decoded.gates)
+    assert inp.verdict == "none_found"
+    assert inp.period_bound == 8 and inp.length_bound == 200
 
 
 @pytest.mark.parametrize("tamper", ["map_final", "map_g", "legalizing"])
@@ -165,6 +172,8 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
     report = certify_realization(RealizationResult.from_json(doc))
     assert report.level != FULL_THEOREM
     assert note in report.notes
+    # off the structural route the bounded search runs
+    assert report.to_json()["inp"]["verdict"] in ("none_found", "found")
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     assert main(["certify", str(path)]) == 3

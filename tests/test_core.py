@@ -17,7 +17,6 @@ from ttrealize.core import (
     tighten,
     validate_graph,
 )
-from ttrealize.realize import build_graph, validate_and_classify
 
 
 def test_inverse_involution():

@@ -1,10 +1,11 @@
 """Random positive compositions: determinism, positivity, grading."""
 
+from ttrealize.certify import expanding_power, stable_index_list
 from ttrealize.core import is_positive
-from ttrealize.maps import MapChain
 from ttrealize.traintrack import check_train_track_morphism, intrinsic_gate_structure
 from ttrealize.experiment import (
     CATEGORY_CONDITIONAL,
+    CATEGORY_UNRESOLVED,
     elementary_map,
     grade_sample,
     rose_graph,
@@ -50,7 +51,7 @@ def test_grading_respects_index_bound():
     assert sum(table.categories.values()) == 25
     for key in table.list_counts:
         doubled = _doubled_sum(key)
-        assert doubled <= 2 * (3 - 1)
+        assert 1 <= doubled <= 2 * (3 - 1)
 
 
 def _doubled_sum(key: str) -> int:
@@ -82,6 +83,20 @@ def test_conditional_samples_dominate_at_moderate_length():
     assert table.categories.get(CATEGORY_CONDITIONAL, 0) >= 1
     text = table.text_table()
     assert "qualitative" in text or "reference" in text
+
+
+def test_index_sum_outside_the_gjll_range_is_unresolved():
+    """A sample clean by every bounded test whose index list is [] is no
+    iwip: the vertex-only search cannot see the Nielsen paths that would
+    decide it, so it is unresolved, and stable_index_list says so."""
+    chain = sample_positive_automorphism(3, 26, 7)
+    grade = grade_sample(chain)
+    assert (grade.primitive, grade.whitehead_connected, grade.inp_verdict) == (True, True, "none_found")
+    assert grade.index_list == ()
+    assert grade.category == CATEGORY_UNRESOLVED
+    # the map expands and its search is clean: only the index sum sets the caveat
+    assert expanding_power(chain) == 1
+    assert stable_index_list(chain) == ((), True)
 
 
 def test_each_elementary_map_is_built_once_per_chain():

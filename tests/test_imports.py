@@ -1,0 +1,34 @@
+"""Import hygiene of the test modules, read from their syntax trees."""
+
+import ast
+import pathlib
+
+TESTS = pathlib.Path(__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement that no expression reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_scan_sees_an_unused_import():
+    source = "from __future__ import annotations\nimport os\nfrom a.b import c, d as e\nprint(os, e)\n"
+    assert unused_imports(source) == ["line 3: c"]
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    unused = {
+        path.name: names
+        for path in sorted(TESTS.glob("*.py"))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttrealize.core import Graph, Path, inverse
+from ttrealize.core import Graph, Path
 from ttrealize.maps import (
     GraphMap,
     MapChain,

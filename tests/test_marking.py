@@ -12,7 +12,6 @@ from ttrealize.marking import (
     pi1_automorphism,
     verify_homotopy_equivalence,
 )
-from ttrealize.realize import build_edge_link_map, build_turn_legalizer
 from tests.test_maps import random_self_map
 
 

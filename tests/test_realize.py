@@ -10,7 +10,6 @@ from ttrealize.maps import transition_matrix, MapChain
 from ttrealize.traintrack import (
     LongTurn,
     check_train_track_morphism,
-    enumerate_long_turns,
     fixes_all_gates,
     gate_index_list,
     intrinsic_gate_structure,
@@ -25,10 +24,6 @@ from ttrealize.realize import (
     RealizationResult,
     SelectorError,
     build_graph,
-    build_legalizing_map,
-    build_mixing_factors,
-    build_mixing_map,
-    build_turn_legalizers,
     realize,
     select_paths,
     validate_and_classify,

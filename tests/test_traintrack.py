@@ -1,6 +1,5 @@
 """Direction maps, train track checks, Whitehead graphs, long turns, Nielsen search."""
 
-import itertools
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from ttrealize.maps import (
 )
 from ttrealize.traintrack import (
     FOUND,
-    LEGALIZING,
     NONE_FOUND,
     LongTurn,
     Turn,
@@ -31,7 +29,6 @@ from ttrealize.traintrack import (
     fixes_all_gates,
     gate_direction_map,
     gate_index_list,
-    illegal_turns,
     intrinsic_gate_structure,
     long_turn_image,
     periodic_vertices,
