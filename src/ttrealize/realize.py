@@ -1,10 +1,12 @@
 """The realization pipeline.
 
 Validates an index list, builds the gated circle-with-loops graph whose
-gate counts realize it, selects the legal carrier/witness/split paths,
-assembles the positively-mixing map h and the turn legalizers g_t,
-searches for a certified legalizing composition g, and returns h∘g with
-its certificate bundle.
+gate counts realize it, selects the legal carrier/witness/split paths
+(one dict keyed by clause kind and key), assembles the positively-mixing
+map h and the turn legalizers g_t, searches for a certified legalizing
+composition g, and returns h∘g with its certificate bundle.  The
+document stores only what the decoder reads: the selected paths live on
+in the factors built from them, and the legalizing search log is not kept.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .core import (
     Graph,
     Path,
     canonical_index_list,
-    format_index_list,
     inverse,
     inverse_word,
     is_legal_path,
@@ -26,7 +27,6 @@ from .core import (
     validate_graph,
 )
 from .maps import GraphMap, MapChain, is_positive_pattern
-from .marking import Pi1Marking, build_marking
 from .traintrack import (
     LegalizingCertificate,
     Turn,
@@ -92,20 +92,6 @@ class RealizationBlueprint:
     def c_max(self) -> int:
         """The cap on the legalizing search's C, and on a document's stored C."""
         return 64 * self.long_turn_length
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "entries_doubled": list(self.entries),
-            "index_list": format_index_list(self.index_list),
-            "case": self.case,
-            "gate_counts": list(self.gate_counts),
-            "r": self.r,
-            "s": self.s,
-            "has_d": self.has_d,
-            "germ_pairing": [list(p) for p in self.germ_pairing],
-            "notes": list(self.notes),
-        }
 
 
 def validate_and_classify(rank: int, entries: Sequence[int]) -> RealizationBlueprint:
@@ -235,70 +221,9 @@ def build_graph(bp: RealizationBlueprint) -> tuple[Graph, GateStructure]:
 
 # -- path selectors --------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class PathSelectors:
-    """Legal paths feeding the factor maps, all re-verified after selection.
-
-    carrier[e] = (u, u'): u e u' is a legal loop at v1 crossing e once.
-    turn_loops[(ga, gb)]: legal loop at v1 crossing that gate turn.
-    outgoing[e] = (alpha, beta) for e in gate 1; incoming[e] = (alpha', beta')
-    for e with reversed edge in gate 2 (even and odd cases only).
-    """
-
-    carrier: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
-    turn_loops: dict[tuple[int, int], tuple[str, ...]]
-    outgoing: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
-    incoming: dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
-
-    def to_json(self) -> dict:
-        return {
-            "carrier": {e: [list(u), list(up)] for e, (u, up) in self.carrier.items()},
-            "turn_loops": {
-                f"{a},{b}": list(w) for (a, b), w in self.turn_loops.items()
-            },
-            "outgoing": {e: [list(a), list(b)] for e, (a, b) in self.outgoing.items()},
-            "incoming": {e: [list(a), list(b)] for e, (a, b) in self.incoming.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PathSelectors":
-        return cls(
-            carrier={e: (tuple(u), tuple(up)) for e, (u, up) in data["carrier"].items()},
-            turn_loops={
-                tuple(int(x) for x in key.split(",")): tuple(w)
-                for key, w in data["turn_loops"].items()
-            },
-            outgoing={e: (tuple(a), tuple(b)) for e, (a, b) in data["outgoing"].items()},
-            incoming={e: (tuple(a), tuple(b)) for e, (a, b) in data["incoming"].items()},
-        )
-
-    def words(self) -> dict[tuple[str, object], tuple[str, ...]]:
-        """Every selected path by (clause kind, key); a carrier as its whole loop."""
-        out: dict[tuple[str, object], tuple[str, ...]] = {
-            ("carrier", e): u + (e,) + up for e, (u, up) in self.carrier.items()
-        }
-        out.update((("witness", pair), w) for pair, w in self.turn_loops.items())
-        for e, (alpha, beta) in self.outgoing.items():
-            out["exit", e], out["detour", e] = alpha, beta
-        for e, (alpha, beta) in self.incoming.items():
-            out["entry", e], out["return", e] = alpha, beta
-        return out
-
-    @classmethod
-    def from_words(cls, words: dict[tuple[str, object], tuple[str, ...]]) -> "PathSelectors":
-        """The inverse of ``words``: a carrier loop is cut at its edge."""
-
-        def of(kind: str) -> dict:
-            return {key: w for (k, key), w in words.items() if k == kind}
-
-        detour, ret = of("detour"), of("return")
-        return cls(
-            carrier={e: (w[: w.index(e)], w[w.index(e) + 1:]) for e, w in of("carrier").items()},
-            turn_loops=of("witness"),
-            outgoing={e: (w, detour[e]) for e, w in of("exit").items()},
-            incoming={e: (w, ret[e]) for e, w in of("entry").items()},
-        )
+# Every selected path by (clause kind, clause key): the one form the factor
+# builders read.  A carrier is its whole loop u e u'.
+SelectedPaths = dict[tuple[str, object], tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -471,12 +396,11 @@ def _select(graph: Graph, gates: GateStructure, clause: Clause):
     raise SelectorError(f"no path satisfies {clause.name}")
 
 
-def select_paths(graph: Graph, gates: GateStructure, bp: RealizationBlueprint) -> PathSelectors:
+def select_paths(graph: Graph, gates: GateStructure, bp: RealizationBlueprint) -> SelectedPaths:
     """Every path of the clause table, searched for and then re-verified."""
-    rows = selector_clauses(graph, gates, bp)
-    selectors = PathSelectors.from_words({(c.kind, c.key): _select(graph, gates, c) for c in rows})
-    verify_selectors(graph, gates, bp, selectors)
-    return selectors
+    sel = {(c.kind, c.key): _select(graph, gates, c) for c in selector_clauses(graph, gates, bp)}
+    verify_selectors(graph, gates, bp, sel)
+    return sel
 
 
 def eligible_gate_turns(graph, gates, bp) -> list[tuple[int, int]]:
@@ -496,9 +420,9 @@ def eligible_gate_turns(graph, gates, bp) -> list[tuple[int, int]]:
     return out
 
 
-def verify_selectors(graph, gates, bp, sel: PathSelectors) -> None:
+def verify_selectors(graph, gates, bp, sel: SelectedPaths) -> None:
     """Re-check every selection against its row of the clause table; raises on failure."""
-    words = sel.words()
+    words = dict(sel)
     problems: list[str] = []
     for clause in selector_clauses(graph, gates, bp):
         word = words.pop((clause.kind, clause.key), None)
@@ -535,36 +459,38 @@ class FactorRecord:
         )
 
 
-def build_edge_link_map(graph, sel: PathSelectors, e: str) -> FactorRecord:
+def build_edge_link_map(graph, sel: SelectedPaths, e: str) -> FactorRecord:
     """Threads edge e and the anchor loop a1 through each other."""
-    u, up = sel.carrier[e]
+    loop = sel["carrier", e]  # u e u', cut at its one crossing of e
+    k = loop.index(e)
+    u, up = loop[:k], loop[k + 1:]
     fwd = GraphMap.from_updates(
         graph,
         {
-            "a1": u + (e,) + up + ("a1",),
+            "a1": loop + ("a1",),
             e: (e,) + up + ("a1",) + u + (e,),
         },
     )
     back = GraphMap.from_updates(
         graph,
         {
-            "a1": inverse_word(up) + (inverse(e),) + inverse_word(u) + ("a1", "a1"),
+            "a1": inverse_word(loop) + ("a1", "a1"),
             e: inverse_word(u) + ("~a1",) + u + (e,),
         },
     )
     return FactorRecord(f"link[{e}]", fwd, back)
 
 
-def build_turn_stamp_map(graph, sel: PathSelectors, pair: tuple[int, int]) -> FactorRecord:
+def build_turn_stamp_map(graph, sel: SelectedPaths, pair: tuple[int, int]) -> FactorRecord:
     """Stamps one gate turn into the anchor loop's image."""
-    v = sel.turn_loops[pair]
+    v = sel["witness", pair]
     fwd = GraphMap.from_updates(graph, {"a1": v + ("a1",)})
     back = GraphMap.from_updates(graph, {"a1": inverse_word(v) + ("a1",)})
     return FactorRecord(f"stamp[{pair[0]},{pair[1]}]", fwd, back)
 
 
 def build_turn_legalizer(
-    graph, gates, bp: RealizationBlueprint, sel: PathSelectors, turn: Turn
+    graph, gates, bp: RealizationBlueprint, sel: SelectedPaths, turn: Turn
 ) -> FactorRecord:
     """The train track morphism whose long-turn image legalizes ``turn``."""
     l = bp.circle_length
@@ -626,7 +552,7 @@ def build_turn_legalizer(
     if gates.gate_of(a) == gate1:
         # within gate 1: components are a_i and e with e = c1 or a_j
         a_i, e = sorted(turn.tokens(), key=token_key)  # a-labels before c1
-        extension, detour = sel.outgoing[e]
+        extension, detour = sel["exit", e], sel["detour", e]
         fwd = GraphMap.from_updates(
             graph,
             {a_i: (a_i, e) + extension, e: (a_i,) + detour + (a_i, e)},
@@ -645,7 +571,7 @@ def build_turn_legalizer(
         return FactorRecord(name, fwd, back, turn)
     # within gate 2: components are ~a_i and ~e with e = c_l or a_j
     a_i, e = sorted((inverse(t) for t in turn.tokens()), key=token_key)
-    extension, ret = sel.incoming[e]
+    extension, ret = sel["entry", e], sel["return", e]
     fwd = GraphMap.from_updates(
         graph,
         {a_i: extension + (e, a_i), e: (e, a_i) + ret + (a_i,)},
@@ -749,40 +675,32 @@ class RealizationResult:
     blueprint: RealizationBlueprint
     graph: Graph
     gates: GateStructure
-    selectors: PathSelectors
     mixing_factors: list[FactorRecord]
     legalizers: list[FactorRecord]
     h: MapChain
     g: MapChain
     final: MapChain
     legalizing_cert: LegalizingCertificate
-    marking: Pi1Marking
-    search_log: list[str]
     report: "object | None" = None
 
     def to_json(self) -> dict:
-        """The document.  Each factor instance is encoded once per call: a
-        factor that recurs (in the records, ``h``, ``g`` and ``final``) is
-        one shared dict within a single document, and no two calls share
-        any object."""
+        """The document: only what ``from_json`` reads, plus the report,
+        which ``certify`` recomputes and never reads back.  The blueprint is
+        its rank and doubled entries, from which the decoder re-derives the
+        rest.  Each factor instance is encoded once per call: a factor that
+        recurs (in the records, ``h``, ``g`` and ``final``) is one shared
+        dict within a single document, and no two calls share any object."""
         memo: dict = {}
         data = {
-            "blueprint": self.blueprint.to_json(),
+            "blueprint": {"rank": self.blueprint.rank, "entries_doubled": list(self.blueprint.entries)},
             "graph": self.graph.to_json(),
             "gates": self.gates.to_json(),
-            "selectors": self.selectors.to_json(),
             "mixing_factors": [r.to_json(memo) for r in self.mixing_factors],
             "legalizers": [r.to_json(memo) for r in self.legalizers],
             "map_h": self.h.to_json(memo),
             "map_g": self.g.to_json(memo),
             "map_final": self.final.to_json(memo),
             "legalizing": self.legalizing_cert.to_json(),
-            "search_log": list(self.search_log),
-            "marking": {
-                "basepoint": self.marking.basepoint,
-                "tree": sorted(self.marking.tree_edges),
-                "basis": dict(self.marking.basis),
-            },
         }
         if self.report is not None:
             data["report"] = self.report.to_json()
@@ -794,7 +712,6 @@ class RealizationResult:
         bp = validate_and_classify(bp_data["rank"], bp_data["entries_doubled"])
         graph = Graph.from_json(data["graph"])
         gates = GateStructure.from_json(graph, data["gates"])
-        selectors = PathSelectors.from_json(data["selectors"])
         # one decode, and one validation, per distinct factor
         memo: dict = {}
         mixing = [FactorRecord.from_json(graph, r, memo) for r in data["mixing_factors"]]
@@ -813,20 +730,16 @@ class RealizationResult:
             families=cert_data["families"],
             verdict=cert_data["verdict"],
         )
-        marking = build_marking(graph)
         return cls(
             blueprint=bp,
             graph=graph,
             gates=gates,
-            selectors=selectors,
             mixing_factors=mixing,
             legalizers=legalizers,
             h=h,
             g=g,
             final=final,
             legalizing_cert=cert,
-            marking=marking,
-            search_log=list(data.get("search_log", [])),
         )
 
 
@@ -852,22 +765,18 @@ def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
         raise SelectorError("mixing map transition matrix is not positive")
     if any(h.image_length(e) < 2 for e in graph.positive_edges):
         raise SelectorError("mixing map fails the length-2 expansion requirement")
-    g, cert, log = build_legalizing_map(graph, gates, bp, h, legalizers)
+    g, cert, _ = build_legalizing_map(graph, gates, bp, h, legalizers)
     final = MapChain(graph, g.factors + h.factors)
-    marking = build_marking(graph)
     result = RealizationResult(
         blueprint=bp,
         graph=graph,
         gates=gates,
-        selectors=sel,
         mixing_factors=mixing,
         legalizers=legalizers,
         h=h,
         g=g,
         final=final,
         legalizing_cert=cert,
-        marking=marking,
-        search_log=log,
     )
     from . import certify as _certify
 

@@ -11,14 +11,22 @@ import pytest
 from ttrealize.cli import enumerate_admissible
 from ttrealize.core import canonical_index_list
 from ttrealize.maps import compose_maps, transition_matrix
-from ttrealize.marking import verify_homotopy_equivalence
+from ttrealize.marking import build_marking, verify_homotopy_equivalence
 from ttrealize.traintrack import (
     find_periodic_inps,
     intrinsic_gate_structure,
     legal_paths_from,
     whitehead_graphs,
 )
-from ttrealize.realize import CASE_EVEN, CASE_MAX_ODD, CASE_ODD, realize, verify_selectors
+from ttrealize.realize import (
+    CASE_EVEN,
+    CASE_MAX_ODD,
+    CASE_ODD,
+    build_mixing_factors,
+    realize,
+    select_paths,
+    verify_selectors,
+)
 from ttrealize.certify import FULL_THEOREM, periodic_class_status
 from ttrealize.experiment import run_experiment
 from tests.test_maps import random_graph, random_self_map
@@ -72,8 +80,13 @@ def test_criterion_3_per_construction_properties(sweep):
     sampled = sweep
     for rank, entries, result in sampled:
         graph, gates, bp = result.graph, result.gates, result.blueprint
-        # selected paths satisfy their clauses (raises on violation)
-        verify_selectors(graph, gates, bp, result.selectors)
+        # selected paths satisfy their clauses (raises on violation) and
+        # build the stored mixing factors
+        sel = select_paths(graph, gates, bp)
+        verify_selectors(graph, gates, bp, sel)
+        assert [r.map for r in build_mixing_factors(graph, gates, bp, sel)] == [
+            r.map for r in result.mixing_factors
+        ], (rank, entries)
         # the mixing map has a positive matrix and connected gate graphs,
         # complete ones away from the maximal odd case
         assert transition_matrix(result.h).is_positive, (rank, entries)
@@ -88,9 +101,10 @@ def test_criterion_3_per_construction_properties(sweep):
         assert intrinsic_gate_structure(result.g) == gates
         assert intrinsic_gate_structure(result.final) == gates
         # every factor map is undone by its explicit homotopy inverse
+        marking = build_marking(graph)
         for rec in result.mixing_factors + result.legalizers:
             assert verify_homotopy_equivalence(
-                rec.map, rec.inverse, result.marking
+                rec.map, rec.inverse, marking
             ), (rank, entries, rec.name)
     print(
         "ACCEPTANCE 3a: PASS - selector clauses, positive mixing matrix,"

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import pathlib
 
 import pytest
 
@@ -197,6 +198,44 @@ def test_documents_with_the_old_pi1_key_still_decode():
     decoded = RealizationResult.from_json(doc)
     assert certify_realization(decoded).level == FULL_THEOREM
     assert "pi1" not in decoded.to_json()
+
+
+# A rank 3 [1/2] document in the older format, which also stored the
+# selected paths, the marking, the legalizing search log and the whole
+# blueprint; the decoder ignores those keys.
+OLD_FORMAT = pathlib.Path(__file__).parent / "data" / "realization_r3_half_v1.json"
+IGNORED_KEYS = {"selectors", "marking", "search_log"}
+
+
+def test_documents_in_the_older_format_decode_and_certify():
+    doc = json.loads(OLD_FORMAT.read_text())
+    assert IGNORED_KEYS <= set(doc) and "germ_pairing" in doc["blueprint"]
+    decoded = RealizationResult.from_json(doc)
+    report = certify_realization(decoded)
+    assert report.level == FULL_THEOREM
+    assert report.to_json() == doc["report"]
+    again = decoded.to_json()
+    assert not IGNORED_KEYS & set(again)
+    assert set(again["blueprint"]) == {"rank", "entries_doubled"}
+
+
+def test_the_document_stores_only_what_the_decoder_reads():
+    """Each stored key but the report is read: without it the decoder raises."""
+    doc = realize(3, (1,)).to_json()
+    paths = [(k,) for k in doc if k != "report"] + [("blueprint", k) for k in doc["blueprint"]]
+    unread = []
+    for *parents, key in paths:
+        broken = json.loads(json.dumps(doc))
+        target = broken
+        for name in parents:
+            target = target[name]
+        del target[key]
+        try:
+            RealizationResult.from_json(broken)
+        except KeyError:
+            continue
+        unread.append("/".join(parents + [key]))
+    assert unread == []
 
 
 def test_read_path_multiplies_no_matrices_and_decodes_each_factor_once(monkeypatch):

@@ -9,6 +9,7 @@ from ttrealize.cli import enumerate_admissible, main
 from ttrealize.maps import ComparisonBudgetError
 from ttrealize.realize import LegalizingSearchError, SelectorError
 from ttrealize.traintrack import VerificationBudgetError
+from tests.test_certify import OLD_FORMAT
 
 
 def test_enumerate_rank_three_lists():
@@ -51,6 +52,14 @@ def test_realize_certify_round_trip(tmp_path, capsys):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report == data["report"]
+
+
+def test_certify_reads_a_document_in_the_older_format(tmp_path):
+    """A document that still stores the selected paths, the marking and the
+    search log certifies to its stored report."""
+    report_path = tmp_path / "report.json"
+    assert main(["certify", str(OLD_FORMAT), "--out", str(report_path)]) == 0
+    assert json.loads(report_path.read_text()) == json.loads(OLD_FORMAT.read_text())["report"]
 
 
 def test_realize_rejects_out_of_range_input(capsys):
@@ -155,10 +164,6 @@ def _break_images(doc):
     doc["mixing_factors"][0]["map"]["images"] = list(doc["mixing_factors"][0]["map"]["images"].items())
 
 
-def _break_carrier(doc):
-    doc["selectors"]["carrier"] = list(doc["selectors"]["carrier"].items())
-
-
 def _set_c(value):
     def edit(doc):
         doc["legalizing"]["C"] = value
@@ -171,8 +176,8 @@ def _drop_gates(doc):
 
 @pytest.mark.parametrize(
     "edit",
-    [_break_images, _break_carrier, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates],
-    ids=["images-list", "carrier-list", "C-string", "C-null", "C-over-cap", "missing-key"],
+    [_break_images, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates],
+    ids=["images-list", "C-string", "C-null", "C-over-cap", "missing-key"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, edit):
     out = tmp_path / "result.json"

@@ -1,9 +1,10 @@
-"""Import hygiene of the test modules, read from their syntax trees."""
+"""Import hygiene of the package and test modules, read from their syntax trees."""
 
 import ast
 import pathlib
 
 TESTS = pathlib.Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "ttrealize"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,10 +26,20 @@ def test_scan_sees_an_unused_import():
     assert unused_imports(source) == ["line 3: c"]
 
 
-def test_no_test_module_imports_a_name_it_never_reads():
-    unused = {
+def unused_by_module(paths) -> dict[str, list[str]]:
+    return {
         path.name: names
-        for path in sorted(TESTS.glob("*.py"))
+        for path in paths
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
-    assert unused == {}
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    assert unused_by_module(sorted(TESTS.glob("*.py"))) == {}
+
+
+def test_no_package_module_imports_a_name_it_never_reads():
+    """``__init__`` is skipped: its imports are the public re-exports."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert modules, PACKAGE
+    assert unused_by_module(modules) == {}

@@ -25,7 +25,7 @@ def test_rose_marking_and_fibonacci_endomorphism(rose2):
 
 
 def test_identity_induces_identity(even_instance):
-    marking = even_instance.marking
+    marking = build_marking(even_instance.graph)
     ident = GraphMap.identity(even_instance.graph)
     endo = pi1_automorphism(ident, marking)
     for gen, word in endo.items():
@@ -34,7 +34,7 @@ def test_identity_induces_identity(even_instance):
 
 def test_even_case_marking_has_rank_many_letters(even_instance):
     graph = even_instance.graph
-    marking = even_instance.marking
+    marking = build_marking(graph)
     # the deterministic tree prefers the circle edges
     assert marking.tree_edges == frozenset({"c1", "c2", "c3", "c4"})
     basis_edges = sorted(marking.basis)
@@ -50,12 +50,12 @@ def test_marking_requires_connectivity():
 
 def test_homotopy_equivalence_identity(even_instance):
     ident = GraphMap.identity(even_instance.graph)
-    assert verify_homotopy_equivalence(ident, ident, even_instance.marking)
+    assert verify_homotopy_equivalence(ident, ident, build_marking(even_instance.graph))
 
 
 def test_homotopy_equivalence_turn_stamp_style(even_instance):
     graph = even_instance.graph
-    marking = even_instance.marking
+    marking = build_marking(graph)
     # a1 -> v a1 against a1 -> v-reversed a1, for a legal loop v at v1
     v = ("c1", "c2", "c3", "c4", "c5")
     v_back = ("~c5", "~c4", "~c3", "~c2", "~c1")
@@ -69,14 +69,13 @@ def test_homotopy_equivalence_turn_stamp_style(even_instance):
 def test_homotopy_equivalence_loop_turn_legalizer(odd_instance):
     """The d-loop legalizer against its listed inverse."""
     rec = next(r for r in odd_instance.legalizers if set(r.turn.tokens()) == {"d", "~d"})
-    assert verify_homotopy_equivalence(rec.map, rec.inverse, odd_instance.marking)
+    assert verify_homotopy_equivalence(rec.map, rec.inverse, build_marking(odd_instance.graph))
 
 
 def test_all_factor_inverses_on_small_instance(odd_instance):
+    marking = build_marking(odd_instance.graph)
     for rec in odd_instance.mixing_factors + odd_instance.legalizers:
-        assert verify_homotopy_equivalence(
-            rec.map, rec.inverse, odd_instance.marking
-        ), rec.name
+        assert verify_homotopy_equivalence(rec.map, rec.inverse, marking), rec.name
 
 
 def test_pi1_respects_composition(rose2):

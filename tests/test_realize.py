@@ -1,6 +1,5 @@
 """Blueprints, the gated graph, selectors, factor maps, the full pipeline."""
 
-import dataclasses
 import re
 
 import pytest
@@ -24,6 +23,7 @@ from ttrealize.realize import (
     RealizationResult,
     SelectorError,
     build_graph,
+    build_legalizing_map,
     realize,
     select_paths,
     validate_and_classify,
@@ -118,19 +118,17 @@ def test_selector_trivial_cases():
     graph, gates = build_graph(bp)
     sel = select_paths(graph, gates, bp)
     # a secondary loop is its own carrier: u and u' empty
-    assert sel.carrier["a2"] == ((), ())
+    assert sel["carrier", "a2"] == ("a2",)
     # loops exit through the reversed anchor gate, so their extension is empty
-    assert sel.outgoing["a2"][0] == ()
+    assert sel["exit", "a2"] == ()
 
 
 def test_selector_detour_is_d_loop_without_chords():
     bp = validate_and_classify(3, (1,))  # odd with r = 0: no chord edges at all
     graph, gates = build_graph(bp)
     sel = select_paths(graph, gates, bp)
-    for e in sel.outgoing:
-        assert sel.outgoing[e][1] == ("d",)
-    for e in sel.incoming:
-        assert sel.incoming[e][1] == ("d",)
+    detours = {key: w for (kind, key), w in sel.items() if kind in ("detour", "return")}
+    assert detours and set(detours.values()) == {("d",)}
 
 
 def test_selectors_are_deterministic(even_graph):
@@ -138,7 +136,7 @@ def test_selectors_are_deterministic(even_graph):
     bp = validate_and_classify(7, (1, 2, 1, 2, 2))
     first = select_paths(graph, gates, bp)
     second = select_paths(graph, gates, bp)
-    assert first.to_json() == second.to_json()
+    assert first == second
 
 
 def _crossed_gate_turns(gates, loop):
@@ -150,10 +148,11 @@ def _crossed_gate_turns(gates, loop):
 
 def _plant_missing_turn(sel, gates):
     """Give one witness the loop of another witness that misses its turn."""
-    for pair in sel.turn_loops:
-        for loop in sel.turn_loops.values():
+    witnesses = {key: w for (kind, key), w in sel.items() if kind == "witness"}
+    for pair in witnesses:
+        for loop in witnesses.values():
             if frozenset(pair) not in _crossed_gate_turns(gates, loop):
-                return {"turn_loops": {**sel.turn_loops, pair: loop}}, f"witness{pair}"
+                return {("witness", pair): loop}, f"witness{pair}"
     raise AssertionError("every witness loop crosses every turn")
 
 
@@ -161,28 +160,28 @@ def _plant_missing_turn(sel, gates):
 # breaks one clause of one selector and keeps the path a valid edge path.
 PLANTS = {
     "carrier crosses e twice": (
-        lambda sel, gates: ({"carrier": {**sel.carrier, "c2": (("c1",), ("c1", "c2"))}}, "carrier(c2)"),
+        lambda sel, gates: ({("carrier", "c2"): ("c1", "c2", "c1", "c2")}, "carrier(c2)"),
         "more than once",
     ),
     "witness misses its turn": (_plant_missing_turn, "turn"),
     "exit does not end in gate 2": (
-        lambda sel, gates: ({"outgoing": {**sel.outgoing, "c1": ((), sel.outgoing["c1"][1])}}, "exit(c1)"),
+        lambda sel, gates: ({("exit", "c1"): ()}, "exit(c1)"),
         "end",
     ),
     "detour starts in gate 1": (
-        lambda sel, gates: ({"outgoing": {**sel.outgoing, "a1": ((), ("c1", "c2"))}}, "detour(a1)"),
+        lambda sel, gates: ({("detour", "a1"): ("c1", "c2")}, "detour(a1)"),
         "start",
     ),
     "entry starts outside gate 1": (
-        lambda sel, gates: ({"incoming": {**sel.incoming, "c2": ((), sel.incoming["c2"][1])}}, "entry(c2)"),
+        lambda sel, gates: ({("entry", "c2"): ()}, "entry(c2)"),
         "start",
     ),
     "return ends in gate 2": (
-        lambda sel, gates: ({"incoming": {**sel.incoming, "a1": ((), ("c1", "c2"))}}, "return(a1)"),
+        lambda sel, gates: ({("return", "a1"): ("c1", "c2")}, "return(a1)"),
         "end",
     ),
     "carrier crosses the anchor loop": (
-        lambda sel, gates: ({"carrier": {**sel.carrier, "c2": (("c1",), ("a1",))}}, "carrier(c2)"),
+        lambda sel, gates: ({("carrier", "c2"): ("c1", "c2", "a1")}, "carrier(c2)"),
         "banned",
     ),
 }
@@ -197,7 +196,7 @@ def test_verify_selectors_names_each_violated_clause(plant):
     make, keyword = PLANTS[plant]
     changes, clause = make(sel, gates)
     with pytest.raises(SelectorError) as info:
-        verify_selectors(graph, gates, bp, dataclasses.replace(sel, **changes))
+        verify_selectors(graph, gates, bp, {**sel, **changes})
     message = str(info.value)
     assert re.search(rf"^{re.escape(clause)}: .*{keyword}", message, re.M), message
 
@@ -288,8 +287,11 @@ def test_even_case_certificate_small_branch_length(even_instance):
 
 
 def test_legalizing_search_log_records_rounds(even_instance):
-    assert even_instance.search_log
-    assert "legalizing at C=" in even_instance.search_log[-1]
+    r = even_instance
+    g, cert, log = build_legalizing_map(r.graph, r.gates, r.blueprint, r.h, r.legalizers)
+    assert g.factors == r.g.factors and cert.branch_length == r.legalizing_cert.branch_length
+    assert log
+    assert f"legalizing at C={cert.branch_length}" in log[-1]
 
 
 # -- the full pipeline ----------------------------------------------------------------

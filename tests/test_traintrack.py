@@ -35,6 +35,7 @@ from ttrealize.traintrack import (
     verify_legalizing,
     whitehead_graphs,
 )
+from ttrealize.realize import select_paths
 
 
 def fib(rose2):
@@ -213,15 +214,15 @@ def test_long_turn_validation(rose2):
 
 def test_long_turn_image_even_case(even_instance):
     """The first-kind legalizer sends its own turn to the advertised image."""
-    sel = even_instance.selectors
     gates = even_instance.gates
     graph = even_instance.graph
+    sel = select_paths(graph, gates, even_instance.blueprint)
     rec = next(
         r
         for r in even_instance.legalizers
         if set(r.turn.tokens()) == {"a1", "c1"}
     )
-    extension, detour = sel.outgoing["c1"]
+    extension, detour = sel["exit", "c1"], sel["detour", "c1"]
     lt = LongTurn(Path("v1", ("a1",)), Path("v1", ("c1",)))
     image = long_turn_image(rec.map, lt)
     assert image is not None
