@@ -6,10 +6,14 @@ sign questions (positivity, primitivity), which integer bitsets answer.
 A ``GraphMap`` stores explicit edge images.  A ``MapChain`` represents a
 composition of graph maps by its factor list only: compositions built in
 this package routinely have edge images with billions of letters, so a
-chain never materializes them.  Instead one table per factor list holds
-the expansion tree restricted to the factors that move each token, with
-exact (big integer) lengths; windows, directions, image comparisons and
-crossed turns read it, and a chain's powers share it.
+chain never materializes them.  Instead the list is a sequence of passes
+over blocks of factors, and one table per block holds the expansion tree
+restricted to the factors that move each token.  ``power`` and ``then``
+build chains whose passes repeat blocks, so h = H H, g = h L h and
+h∘g read two tables; each pass caches what depends on the passes after
+it (exact big-integer lengths among them), and chains that end alike
+share those passes.  Windows, directions, image comparisons and crossed
+turns read the tables through the passes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .core import Graph, Path, inverse, is_positive, positive_label
+from .core import Graph, Path, is_positive, positive_label
 
 
 class MapError(ValueError):
@@ -43,13 +47,18 @@ class GraphMap:
         inits, terms, inverses = graph.inits, graph.terms, graph.inverses
         images: dict[str, tuple[str, ...]] = {}
         touched: list[str] = []
-        # per positive edge: the vertex its image starts at, whether its
-        # letters join up into a path, and the vertex it ends at
-        spans: list[tuple[str, str, bool, str]] = []
+        # per moved positive edge: the vertex its image starts at, whether
+        # its letters join up into a path, and the vertex it ends at; an
+        # identity image is a path from the edge's own ends
+        spans: dict[str, tuple[str, bool, str]] = {}
         for label in graph.positive_edges:
             if label not in edge_images:
                 raise MapError(f"missing image for edge {label!r}")
             word = tuple(edge_images[label])
+            if len(word) == 1 and word[0] == label:
+                images[label] = word
+                images[inverses[label]] = (inverses[label],)
+                continue
             if not word:
                 raise MapError(f"contracted edge {label!r}")
             try:
@@ -63,24 +72,32 @@ class GraphMap:
                     joined = False
                     break
                 at = terms[t]
-            spans.append((label, start, joined, terms[word[-1]]))
+            spans[label] = (start, joined, terms[word[-1]])
             images[label] = word
             images[inverses[label]] = back
-            if word != (label,):
-                touched += (label, inverses[label])
-        if vertex_image is None:
+            touched += (label, inverses[label])
+        derived = vertex_image is None
+        if derived:
+            # only the ends of moved edges can be sent elsewhere; there every
+            # edge, moved or not, must agree, in edge order
+            ends = {v for label in spans for v in (inits[label], terms[label])}
             vertex_image = {}
-            for label, start, _, end in spans:
-                for v, w in ((inits[label], start), (terms[label], end)):
-                    if vertex_image.setdefault(v, w) != w:
-                        raise MapError(f"incoherent images at vertex {v!r}")
+            for label in graph.positive_edges:
+                v, w = inits[label], terms[label]
+                start, _, end = spans.get(label, (v, True, w))
+                if v in ends and vertex_image.setdefault(v, start) != start:
+                    raise MapError(f"incoherent images at vertex {v!r}")
+                if w in ends and vertex_image.setdefault(w, end) != end:
+                    raise MapError(f"incoherent images at vertex {w!r}")
             for v in graph.vertices:
                 vertex_image.setdefault(v, v)
         self.vertex_image: dict[str, str] = dict(vertex_image)
         for w in self.vertex_image.values():
             if w not in graph.vertices:
                 raise MapError(f"vertex image {w!r} not a vertex")
-        for label, start, joined, end in spans:
+        # a derived vertex map agrees with every identity image by construction
+        for label in spans if derived else graph.positive_edges:
+            start, joined, end = spans.get(label) or (inits[label], True, terms[label])
             if not joined or start != self.vertex_image[inits[label]]:
                 raise MapError(f"image of {label!r} is not a path")
             if end != self.vertex_image[terms[label]]:
@@ -96,9 +113,9 @@ class GraphMap:
         holds the edges that the image of a moved edge j crosses, and
         ``mask`` the moved edges.  Every other column is the identity's.
         """
-        bit = {}
+        bit, inverses = {}, self.graph.inverses
         for i, e in enumerate(self.graph.positive_edges):
-            bit[e] = bit[inverse(e)] = 1 << i
+            bit[e] = bit[inverses[e]] = 1 << i
         columns = {
             bit[e]: sum({bit[t] for t in self._images[e]})
             for e in self.graph.positive_edges
@@ -167,11 +184,13 @@ class GraphMap:
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "GraphMap":
-        """Decode a map; with ``memo``, equal image lists decode to one instance."""
-        key = tuple((e, tuple(w)) for e, w in data["images"].items())
+        """Decode a map; with ``memo``, equal image dicts (same edges in the
+        same order, same images) decode to one instance."""
+        images = data["images"]
+        key = (tuple(images), tuple(map(tuple, images.values())))
         memo = {} if memo is None else memo
         if key not in memo:
-            memo[key] = cls(graph, dict(key))
+            memo[key] = cls(graph, dict(zip(*key)))
         return memo[key]
 
     def __eq__(self, other) -> bool:
@@ -244,16 +263,6 @@ class TransitionMatrix:
     def is_positive(self) -> bool:
         return all(all(x > 0 for x in row) for row in self.rows)
 
-    def power(self, t: int) -> "TransitionMatrix":
-        result = TransitionMatrix.identity(self.labels)
-        base = self
-        while t:
-            if t & 1:
-                result = result @ base
-            base = base @ base if t > 1 else base
-            t >>= 1
-        return result
-
 
 def transition_matrix(f) -> TransitionMatrix:
     """Exact transition matrix of a map or chain: the product over its factors."""
@@ -262,7 +271,7 @@ def transition_matrix(f) -> TransitionMatrix:
     result = TransitionMatrix.identity(labels)
     for factor in chain.factors:
         result = _single_transition_matrix(factor, labels) @ result
-    return result.power(chain.copies)
+    return result
 
 
 def _single_transition_matrix(f: GraphMap, labels: tuple[str, ...]) -> TransitionMatrix:
@@ -322,41 +331,40 @@ def _bool_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 # -- factored compositions ---------------------------------------------------
 
 
-# subtrees of at most this many letters are spelled out once per table
+# subtrees of at most this many letters are spelled out once per pass
 _SPELLED = 64
+_FIRST_ROOTS = 4  # word letters a cursor maps to table roots before it reads on
 MATERIALIZE_BUDGET = 2_000_000  # letters MapChain.materialize spells in all
 COMPARISON_STEP_BUDGET = 20_000_000  # cursor steps of one image comparison
 
 
 class _ChainTable:
-    """The expansion tree of one pass through a factor list, with exact lengths.
+    """The expansion tree of one pass through one block of factors.
 
     Node ids below ``len(tokens)`` are boundaries: the token ``tokens[n]``
-    leaving the last factor.  Every higher id stands for a token at a level
-    j whose factor moves it; ``kids[n]`` holds, for each letter y of
-    f_j(token), the node of y at the next level that moves y, else y's
-    boundary.  Levels that leave a token alone are never visited.
+    leaving the block's last factor.  Every higher id stands for a token
+    at a level j whose factor moves it; ``kids[n]`` holds, for each letter
+    y of f_j(token), the node of y at the next level that moves y, else
+    y's boundary.  Levels that leave a token alone are never visited.
     ``root[n]`` is the node of ``tokens[n]`` at the first level that moves
-    it, and ``root_of`` maps each token to that node.
-    ``lengths[r][n]`` is the image length below node n with r passes of the
-    factor list left to run, this one included: a power of the chain shares
-    ``kids`` and adds one length vector per pass.  ``letters[r][n]`` spells
-    out the image below n when it has at most ``_SPELLED`` letters, else
-    None; windows copy such subtrees whole.
+    it, and ``root_of`` maps each token to that node.  What depends only
+    on the block is cached here (first and last letters, sign pattern,
+    vertex map, crossed seams); what depends on the passes after it lives
+    on ``_Pass``.
     """
 
-    def __init__(self, graph: Graph, factors: Sequence[GraphMap]):
+    def __init__(self, graph: Graph, factors: tuple[GraphMap, ...]):
         self.graph = graph
         self.factors = factors
         self.depth = len(factors)
         self.kids: list[tuple[int, ...]] | None = None
-        # index 0, no pass left, is a placeholder
-        self.lengths: list[list[int]] = [[]]
-        self.letters: list[list[list[str] | None]] = [[]]
+        self._crossed: dict[frozenset[int], tuple[set, frozenset[int]]] = {}
 
-    def _build(self):
+    def build(self) -> None:
+        if self.kids is not None:
+            return
         self.tokens = tuple(self.graph.directed_edges)
-        index = {t: n for n, t in enumerate(self.tokens)}
+        self.index = index = {t: n for n, t in enumerate(self.tokens)}
         self.level = [self.depth] * len(self.tokens)
         self.kids = [()] * len(self.tokens)
         nearest = list(range(len(self.tokens)))
@@ -373,20 +381,12 @@ class _ChainTable:
         self.root = nearest
         self.root_of = dict(zip(self.tokens, nearest))
 
-    def grow(self, copies: int) -> list[list[int]]:
-        """The length vectors, extended to ``copies`` passes."""
-        if self.kids is None:
-            self._build()
-        while len(self.lengths) <= copies:
-            r = len(self.lengths)
-            vec = [1] * len(self.tokens) if r == 1 else [self.lengths[-1][n] for n in self.root]
-            for kids in self.kids[len(vec):]:
-                total = 0
-                for k in kids:
-                    total += vec[k]
-                vec.append(total)
-            self.lengths.append(vec)
-        return self.lengths
+    @cached_property
+    def vertex_image(self) -> dict[str, str]:
+        vmap = {v: v for v in self.graph.vertices}
+        for f in self.factors:
+            vmap = {v: f.vertex_image[w] for v, w in vmap.items()}
+        return vmap
 
     @cached_property
     def sign_pattern(self) -> tuple[int, ...]:
@@ -411,8 +411,7 @@ class _ChainTable:
     def ends(self) -> tuple[list[int], list[int]]:
         """(first, last): the token ids of the first and last letters of one
         pass's image below each node, in one bottom-up pass."""
-        if self.kids is None:
-            self._build()
+        self.build()
         first = list(range(len(self.tokens)))
         last = first[:]
         for ks in self.kids[len(first):]:
@@ -420,53 +419,97 @@ class _ChainTable:
             last.append(last[ks[-1]])
         return first, last
 
-    @cached_property
-    def crossed_turns(self) -> frozenset[tuple[str, str]]:
-        """The turns crossed by one pass's positive edge images, as
-        (inverse(x), y) for consecutive letters x, y: the seams between
-        consecutive children of the nodes those images reach, read as the
-        last letter below the one and the first below the next."""
-        first, last = self.ends
-        tokens, kids = self.tokens, self.kids
-        # letters as token ids; the seams are spelled as turns at the end
-        reached = [False] * len(kids)
-        for e in self.graph.positive_edges:
-            reached[self.root_of[e]] = True
-        seams = set()
-        for n in range(len(kids) - 1, len(tokens) - 1, -1):
-            if reached[n]:
-                ks = kids[n]
-                for a, b in zip(ks, ks[1:]):
-                    seams.add((last[a], first[b]))
-                for k in ks:
-                    reached[k] = True
-        inverses = self.graph.inverses
-        return frozenset((inverses[tokens[x]], tokens[y]) for x, y in seams)
+    def crossed(self, entering: frozenset[int]) -> tuple[set, frozenset[int]]:
+        """(seams, leaving) for one pass whose input crosses the token ids
+        ``entering``: the pairs (x, y) of consecutive output letters that
+        meet at a seam between two children of a node the input reaches,
+        read as the last letter below the one and the first below the
+        next, and the output tokens reached.  Memoized by ``entering``."""
+        if entering not in self._crossed:
+            first, last = self.ends
+            kids = self.kids
+            reached = [False] * len(kids)
+            for t in entering:
+                reached[self.root[t]] = True
+            seams = set()
+            for n in range(len(kids) - 1, len(self.tokens) - 1, -1):
+                if reached[n]:
+                    ks = kids[n]
+                    for a, b in zip(ks, ks[1:]):
+                        seams.add((last[a], first[b]))
+                    for k in ks:
+                        reached[k] = True
+            leaving = frozenset(t for t in range(len(self.tokens)) if reached[t])
+            self._crossed[entering] = (seams, leaving)
+        return self._crossed[entering]
 
-    def spell(self, copies: int) -> list[list[list[str] | None]]:
-        """The spelled-out small subtrees, extended to ``copies`` passes."""
-        while len(self.letters) <= copies:
-            r = len(self.letters)
-            vec = self.lengths[r]
-            row = [[t] for t in self.tokens] if r == 1 else [self.letters[-1][n] for n in self.root]
-            for n in range(len(row), len(self.kids)):
-                small = vec[n] <= _SPELLED
-                row.append([x for k in self.kids[n] for x in row[k]] if small else None)
-            self.letters.append(row)
-        return self.letters
+
+class _Pass:
+    """One pass through a block table, followed by the passes ``next``.
+
+    A chain is a list of passes; what depends on the passes after one is
+    kept on it, so chains that end alike share it, as ``then`` reuses its
+    argument's passes and ``power`` each lower power's.  ``height`` is the
+    number of levels from this pass's first down to the actual letters,
+    so ``height - table.level[n]`` levels are left below node n.  Made
+    with the pass: the composite's ``vertex_image`` and ``sign_pattern``,
+    and per token id the ids of the ``first`` and ``last`` letters of its
+    image.  Per node n of the table, filled in by ``measure`` and
+    ``spell`` once the next pass has been: ``lengths[n]`` is the image
+    length below n, ``rows[n]`` the image below n spelled out when it has
+    at most ``_SPELLED`` letters, else None.
+    """
+
+    __slots__ = ("table", "next", "height", "vertex_image", "sign_pattern",
+                 "first", "last", "lengths", "rows")
+
+    def __init__(self, table: _ChainTable, rest: "_Pass | None"):
+        first, last = table.ends
+        self.table, self.next = table, rest
+        self.first = [first[n] for n in table.root]
+        self.last = [last[n] for n in table.root]
+        if rest is None:
+            self.height = table.depth
+            self.vertex_image, self.sign_pattern = table.vertex_image, table.sign_pattern
+        else:
+            self.height = table.depth + rest.height
+            self.vertex_image = {v: rest.vertex_image[w] for v, w in table.vertex_image.items()}
+            self.sign_pattern = tuple(_bool_mul(table.sign_pattern, rest.sign_pattern))
+            self.first = [rest.first[t] for t in self.first]
+            self.last = [rest.last[t] for t in self.last]
+        self.lengths = self.rows = None
+
+    def measure(self) -> None:
+        table, rest = self.table, self.next
+        vec = [1] * len(table.tokens) if rest is None else [rest.lengths[n] for n in rest.table.root]
+        for kids in table.kids[len(vec):]:
+            total = 0
+            for k in kids:
+                total += vec[k]
+            vec.append(total)
+        self.lengths = vec
+
+    def spell(self) -> None:
+        table, rest, vec = self.table, self.next, self.lengths
+        row = [[t] for t in table.tokens] if rest is None else [rest.rows[n] for n in rest.table.root]
+        for n in range(len(row), len(table.kids)):
+            small = vec[n] <= _SPELLED
+            row.append([x for k in table.kids[n] for x in row[k]] if small else None)
+        self.rows = row
 
 
 class MapChain:
-    """A composition of graph maps, stored as its factor list.
+    """A composition of graph maps, stored as a list of passes over blocks.
 
-    ``factors[0]`` is applied first, and the list runs ``copies`` times
-    over (``power`` makes such views).  Edge images are never materialized:
-    exact lengths, letter windows and directions all read one lazily built
-    ``_ChainTable``, shared by the chain and its powers, whose descent
+    ``factors`` is the whole factor list, ``factors[0]`` applied first.
+    It is cut into blocks (``blocks``), each with one ``_ChainTable``: a
+    chain made by ``MapChain(graph, factors)`` is one block, and ``power``
+    and ``then`` make chains whose blocks repeat, so a chain such as
+    h∘L∘h reads two tables, not one table of five blocks.  Edge images
+    are never materialized: exact lengths, letter windows and directions
+    read the tables through the chain's passes (``_Pass``), whose descent
     skips every level that leaves a token alone.
     """
-
-    copies = 1
 
     def __init__(self, graph: Graph, factors: Sequence[GraphMap]):
         if not factors:
@@ -474,78 +517,108 @@ class MapChain:
         for f in factors:
             if f.graph is not graph:
                 raise MapError("chain factors must share one graph instance")
+        self._join(graph, (_ChainTable(graph, tuple(factors)),), None)
+
+    def _join(self, graph: Graph, blocks: tuple[_ChainTable, ...], rest: "MapChain | None") -> None:
+        """Set up as ``blocks`` followed by ``rest``, whose passes it reuses."""
         self.graph = graph
-        self.factors: tuple[GraphMap, ...] = tuple(factors)
-        vmap = {v: v for v in graph.vertices}
-        for f in self.factors:
-            vmap = {v: f.vertex_image[w] for v, w in vmap.items()}
-        self.vertex_image = vmap
-        self._table = _ChainTable(graph, self.factors)
+        self.blocks = blocks + (() if rest is None else rest.blocks)
+        passes = [] if rest is None else list(rest._passes)
+        for table in reversed(blocks):
+            passes.insert(0, _Pass(table, passes[0] if passes else None))
+        self._passes = tuple(passes)
         self._suffix_lengths: list[list[int]] | None = None
-
-    def power(self, p: int) -> "MapChain":
-        """The chain run ``p`` times over, sharing this chain's table.
-
-        The view answers image queries (lengths, windows, directions,
-        comparisons) for the p-fold composite; its ``factors`` stay one pass.
-        """
-        if p < 1:
-            raise ValueError(f"chain power must be at least 1, got {p}")
-        if p == 1:
-            return self
-        vmap = self.vertex_image
-        for _ in range(p - 1):
-            vmap = {v: self.vertex_image[w] for v, w in vmap.items()}
-        # no __init__: its pass over the factors would redo the vertex map above
-        view = MapChain.__new__(MapChain)
-        view.graph, view.factors, view._table = self.graph, self.factors, self._table
-        view.copies, view.vertex_image, view._suffix_lengths = self.copies * p, vmap, None
-        return view
+        self._rows_ready = False
+        self._powers: dict[int, MapChain] = {}
 
     @cached_property
+    def factors(self) -> tuple[GraphMap, ...]:
+        return tuple(f for table in self.blocks for f in table.factors)
+
+    @property
+    def vertex_image(self) -> dict[str, str]:
+        return self._passes[0].vertex_image
+
+    @property
     def sign_pattern(self) -> tuple[int, ...]:
         """The sign pattern of ``transition_matrix`` as column bitsets, never
         forming exact entries: bit i of entry j is set when the image of
         ``graph.positive_edges[j]`` crosses edge i."""
-        base = pattern = self._table.sign_pattern
-        for _ in range(self.copies - 1):
-            pattern = _bool_mul(pattern, base)
-        return tuple(pattern)
+        return self._passes[0].sign_pattern
 
-    @property
+    def then(self, other: "MapChain") -> "MapChain":
+        """This chain followed by ``other`` (``other`` applied last), sharing
+        both chains' tables and ``other``'s passes."""
+        if other.graph is not self.graph:
+            raise MapError("chain factors must share one graph instance")
+        chain = MapChain.__new__(MapChain)
+        chain._join(self.graph, self.blocks, other)
+        return chain
+
+    def power(self, p: int) -> "MapChain":
+        """The chain run ``p`` times over: each power is this chain followed
+        by the power below, kept, so all powers share their passes."""
+        if p < 1:
+            raise ValueError(f"chain power must be at least 1, got {p}")
+        lower = self
+        for q in range(2, p + 1):
+            if q not in self._powers:
+                self._powers[q] = self.then(lower)
+            lower = self._powers[q]
+        return lower
+
+    @cached_property
     def crossed_turns(self) -> frozenset[tuple[str, str]]:
         """The turns crossed by the composite's positive edge images, exactly
-        as ``core.crossed_turns`` reads them off the materialized map."""
-        if self.copies > 1:
-            raise MapError("crossed turns are read for one pass only")
-        return self._table.crossed_turns
+        as ``core.crossed_turns`` reads them off the materialized map: each
+        pass's seams, read through the passes after it."""
+        passes = self._passes
+        table = passes[0].table
+        entering = frozenset(table.index[e] for e in self.graph.positive_edges)
+        seams = set()
+        for p, later in zip(passes, passes[1:] + (None,)):
+            local, entering = p.table.crossed(entering)
+            if later is None:
+                seams |= local
+            else:
+                seams.update((later.last[x], later.first[y]) for x, y in local)
+        tokens, inverses = table.tokens, self.graph.inverses
+        return frozenset((inverses[tokens[x]], tokens[y]) for x, y in seams)
 
     def fixes_all_vertices(self) -> bool:
         return all(self.vertex_image[v] == v for v in self.graph.vertices)
 
-    # -- the table ---------------------------------------------------------
+    # -- the tables ----------------------------------------------------------
 
     def _lengths(self) -> list[list[int]]:
+        """The passes' length vectors, first pass first, built from the last."""
         if self._suffix_lengths is None:
-            self._suffix_lengths = self._table.grow(self.copies)
+            for p in reversed(self._passes):
+                if p.lengths is None:
+                    p.measure()
+            self._suffix_lengths = [p.lengths for p in self._passes]
         return self._suffix_lengths
 
+    def _spelled(self) -> None:
+        """Spell out the passes' small subtrees, once, from the last pass."""
+        if not self._rows_ready:
+            self._lengths()
+            for p in reversed(self._passes):
+                if p.rows is None:
+                    p.spell()
+            self._rows_ready = True
+
     def direction(self, token: str) -> str:
-        """The first letter of the image: one pass's first-letter table,
-        read once per pass."""
-        table = self._table
-        first = table.ends[0]
-        root, n = table.root, table.root_of[token]
-        for _ in range(self.copies - 1):
-            n = root[first[n]]
-        return table.tokens[first[n]]
+        """The first letter of the image, read off the first pass."""
+        head = self._passes[0]
+        return head.table.tokens[head.first[head.table.index[token]]]
 
     def image_length(self, token: str) -> int:
-        return self._lengths()[self.copies][self._table.root_of[token]]
+        return self._lengths()[0][self._passes[0].table.root_of[token]]
 
     def word_image_length(self, word: Sequence[str]) -> int:
-        lengths = self._lengths()[self.copies]
-        root_of = self._table.root_of
+        lengths = self._lengths()[0]
+        root_of = self._passes[0].table.root_of
         return sum(map(lengths.__getitem__, map(root_of.__getitem__, word)))
 
     def image_window(self, token: str, start: int, count: int) -> list[str]:
@@ -565,8 +638,6 @@ class MapChain:
         return GraphMap(self.graph, images, dict(self.vertex_image))
 
     def to_json(self, memo: dict | None = None) -> dict:
-        if self.copies > 1:
-            raise MapError("a power of a chain is not serialized")
         return {"factors": [f.to_json(memo) for f in self.factors]}
 
     @classmethod
@@ -590,43 +661,57 @@ class ComparisonBudgetError(RuntimeError):
 class ImageCursor:
     """Depth-first position in the expansion tree of a chain image.
 
-    The current node is (``level``, ``node``): pass c of the factor list
-    spans levels c*m up to c*m + m, a table node sits at the next level
-    that moves its token, and a boundary sits at the end of its pass;
-    boundaries at level ``depth`` = ``copies * m`` are the actual letters.
-    A cursor always sits at the start of its current node's subtree, so
-    two cursors on the same chain whose nodes are equal face identical
-    subtrees.  ``node`` is None once the cursor has passed the whole word.
-    ``stack`` holds one frame [passes left, level offset, children, index]
-    per open node, the top frame's child at index being the current node.
-    ``advance`` and ``descend`` are the single-cursor moves that windows
-    use: they ``seek``, then ``spell``.  Comparisons run both cursors
-    through ``_diverge``, which makes the same moves inline and hands the
-    cursors back in this form.
+    The current node is (``height``, ``node``): ``height`` counts the
+    levels left below it, a table node sits at the next level of its pass
+    that moves its token, a boundary at the end of its pass, and
+    boundaries at height 0 are the actual letters.  A cursor always sits
+    at the start of its current node's subtree, so two cursors on the same
+    chain whose nodes and heights are equal face identical subtrees.
+    ``node`` is None once the cursor has passed the whole word.  ``stack``
+    holds one frame [pass, children, index] per open node, the top frame's
+    child at index being the current node.  The bottom frame holds the
+    roots of the word's letters, mapped a few at a time by ``more`` as the
+    cursor reaches them.  ``advance`` and ``descend`` are the single-cursor
+    moves that windows use: they ``seek``, then ``spell``.  Comparisons run
+    both cursors through ``_diverge``, which makes the same moves inline
+    and hands the cursors back in this form.
     """
 
-    __slots__ = ("table", "lengths", "copies", "depth", "stack", "pos", "level", "node")
+    __slots__ = ("chain", "word", "mapped", "stack", "pos", "height", "node")
 
     def __init__(self, chain: MapChain, word: Sequence[str]):
-        self.lengths = chain._lengths()
-        self.table = table = chain._table
-        self.copies, self.depth = chain.copies, chain.copies * table.depth
-        roots = tuple(map(table.root_of.__getitem__, word))
-        self.stack: list[list] = [[chain.copies, 0, roots, 0]] if roots else []
+        chain._lengths()
+        head = chain._passes[0]
+        self.chain, self.word, self.mapped = chain, word, _FIRST_ROOTS
+        roots = list(map(head.table.root_of.__getitem__, word[:_FIRST_ROOTS]))
+        self.stack: list[list] = [[head, roots, 0]] if roots else []
         self.pos = 0
         self.node: int | None = roots[0] if roots else None
-        self.level = table.level[roots[0]] if roots else 0
+        self.height = head.height - head.table.level[roots[0]] if roots else 0
+
+    def more(self) -> list[int]:
+        """The roots of the word's next letters, twice as many as last time,
+        so a comparison that diverges early maps only the first few."""
+        start = self.mapped
+        self.mapped = end = max(_FIRST_ROOTS, 2 * start)
+        root_of = self.chain._passes[0].table.root_of
+        return list(map(root_of.__getitem__, self.word[start:end]))
 
     def advance(self) -> None:
         """Move past the current node's whole subtree."""
         frame = self.stack[-1]
-        self.pos += self.lengths[frame[0]][self.node]
+        self.pos += frame[0].lengths[self.node]
         while True:
-            frame[3] += 1
-            if frame[3] < len(frame[2]):
-                self.node = n = frame[2][frame[3]]
-                self.level = frame[1] + self.table.level[n]
+            frame[2] += 1
+            if frame[2] < len(frame[1]):
+                self.node = n = frame[1][frame[2]]
+                self.height = frame[0].height - frame[0].table.level[n]
                 return
+            if len(self.stack) == 1:
+                roots = self.more()
+                if roots:
+                    frame[1], frame[2] = roots, -1
+                    continue
             self.stack.pop()
             if not self.stack:
                 self.node = None
@@ -634,35 +719,36 @@ class ImageCursor:
             frame = self.stack[-1]
 
     def descend(self) -> None:
-        """Replace the current node by its children, or a boundary by the next pass."""
-        frame = self.stack[-1]
-        n, table = self.node, self.table
-        if n < len(table.tokens):
-            frame = [frame[0] - 1, frame[1] + table.depth, (table.root[n],), 0]
+        """Replace the current node by its children, or a boundary by its
+        root in the next pass."""
+        p, n = self.stack[-1][0], self.node
+        if n < len(p.table.tokens):
+            p = p.next
+            frame = [p, (p.table.root[n],), 0]
         else:
-            frame = [frame[0], frame[1], table.kids[n], 0]
+            frame = [p, p.table.kids[n], 0]
         self.stack.append(frame)
-        self.node = n = frame[2][0]
-        self.level = frame[1] + table.level[n]
+        self.node = n = frame[1][0]
+        self.height = p.height - p.table.level[n]
 
     def seek(self, start: int) -> None:
         """Move to letter ``start``: skip each subtree that ends at or before
         it, descend into the one that holds it."""
         while self.node is not None and self.pos < start:
-            if self.pos + self.lengths[self.stack[-1][0]][self.node] <= start:
+            if self.pos + self.stack[-1][0].lengths[self.node] <= start:
                 self.advance()
             else:
                 self.descend()
 
     def spell(self, count: int) -> list[str]:
         """The next ``count`` letters, or as many as the word has left: a
-        subtree spelled out in the table is copied whole, or the prefix still
+        subtree spelled out in its pass is copied whole, or the prefix still
         wanted, and any other node is descended into.  The cursor stops at
         the first node it did not read whole, or past the word."""
-        letters = self.table.spell(self.copies)
+        self.chain._spelled()
         out: list[str] = []
         while self.node is not None and len(out) < count:
-            row = letters[self.stack[-1][0]][self.node]
+            row = self.stack[-1][0].rows[self.node]
             if row is None:
                 self.descend()
             elif len(row) <= count - len(out):
@@ -681,25 +767,26 @@ def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str]):
 
     This is the lockstep kernel: ``ImageCursor.advance`` and ``descend``
     for both cursors, inlined.  Each cursor's top frame lives in locals
-    (passes left, level offset, children, index), its other frames on its
-    own stack.  The cursors only ever advance together, past one node they
-    share at one level, hence in one pass: so the position is shared, and
-    only ``a``'s length vector is kept.  Both cursors get their state back
+    (pass, children, index), with the pass's height and arrays, which are
+    reloaded only when a move changes pass; its other frames live on its
+    own stack.
+    The cursors only ever advance together, past one node they share at
+    one height, hence in one pass: so the position is shared, and only
+    ``a``'s length vector is kept.  Both cursors get their state back
     before the return, so they can ``spell`` on.
     """
     a = ImageCursor(chain, word_a)
     b = ImageCursor(chain, word_b)
-    table = a.table
-    lengths, level_of, kids, root = a.lengths, table.level, table.kids, table.root
-    boundaries, m, depth = len(table.tokens), table.depth, a.depth
+    boundaries = len(chain._passes[0].table.tokens)
     budget = COMPARISON_STEP_BUDGET
-    stack_a, na, la = a.stack, a.node, a.level
-    stack_b, nb, lb = b.stack, b.node, b.level
+    stack_a, na, ha = a.stack, a.node, a.height
+    stack_b, nb, hb = b.stack, b.node, b.height
     if na is not None:
-        ca, oa, ka, ia = stack_a.pop()
-        va = lengths[ca]
+        pa, ka, ia = stack_a.pop()
+        va, top_a, level_a, kids_a = pa.lengths, pa.height, pa.table.level, pa.table.kids
     if nb is not None:
-        cb, ob, kb, ib = stack_b.pop()
+        pb, kb, ib = stack_b.pop()
+        top_b, level_b, kids_b = pb.height, pb.table.level, pb.table.kids
     pos = steps = 0
     while True:
         steps += 1
@@ -713,69 +800,79 @@ def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str]):
             else:
                 outcome = ("contained", "a" if na is None else "b", pos)
             break
-        if la == lb:
+        if ha == hb:
             if na == nb:
                 # advance both past one shared subtree
                 pos += va[na]
                 ia += 1
                 while ia == len(ka):
                     if not stack_a:
+                        ka, ia = a.more(), 0
+                        if ka:
+                            continue
                         na = None
                         break
-                    ca, oa, ka, ia = stack_a.pop()
-                    va = lengths[ca]
+                    qa, ka, ia = stack_a.pop()
+                    if qa is not pa:
+                        pa = qa
+                        va, top_a, level_a, kids_a = pa.lengths, pa.height, pa.table.level, pa.table.kids
                     ia += 1
                 else:
                     na = ka[ia]
-                    la = oa + level_of[na]
+                    ha = top_a - level_a[na]
                 ib += 1
                 while ib == len(kb):
                     if not stack_b:
+                        kb, ib = b.more(), 0
+                        if kb:
+                            continue
                         nb = None
                         break
-                    cb, ob, kb, ib = stack_b.pop()
+                    qb, kb, ib = stack_b.pop()
+                    if qb is not pb:
+                        pb = qb
+                        top_b, level_b, kids_b = pb.height, pb.table.level, pb.table.kids
                     ib += 1
                 else:
                     nb = kb[ib]
-                    lb = ob + level_of[nb]
+                    hb = top_b - level_b[nb]
                 continue
-            if la == depth:
-                tokens = table.tokens
+            if ha == 0:
+                tokens = pa.table.tokens
                 outcome = ("diverge", pos, tokens[na], tokens[nb])
                 break
             descend_a = descend_b = True
         else:
-            descend_a = la < lb
+            descend_a = ha > hb
             descend_b = not descend_a
         if descend_a:
-            stack_a.append([ca, oa, ka, ia])
+            stack_a.append([pa, ka, ia])
             if na < boundaries:
-                ca -= 1
-                va = lengths[ca]
-                oa += m
-                ka = (root[na],)
+                pa = pa.next
+                va, top_a, level_a, kids_a = pa.lengths, pa.height, pa.table.level, pa.table.kids
+                ka = (pa.table.root[na],)
             else:
-                ka = kids[na]
+                ka = kids_a[na]
             ia = 0
             na = ka[0]
-            la = oa + level_of[na]
+            ha = top_a - level_a[na]
         if descend_b:
-            stack_b.append([cb, ob, kb, ib])
+            stack_b.append([pb, kb, ib])
             if nb < boundaries:
-                cb -= 1
-                ob += m
-                kb = (root[nb],)
+                pb = pb.next
+                top_b, level_b, kids_b = pb.height, pb.table.level, pb.table.kids
+                kb = (pb.table.root[nb],)
             else:
-                kb = kids[nb]
+                kb = kids_b[nb]
             ib = 0
             nb = kb[0]
-            lb = ob + level_of[nb]
+            hb = top_b - level_b[nb]
     if na is not None:
-        stack_a.append([ca, oa, ka, ia])
+        stack_a.append([pa, ka, ia])
     if nb is not None:
-        stack_b.append([cb, ob, kb, ib])
-    a.node, a.level, a.pos = na, la, pos
-    b.node, b.level, b.pos = nb, lb, pos
+        stack_b.append([pb, kb, ib])
+    a.node, a.height, a.pos = na, ha, pos
+    b.node, b.height, b.pos = nb, hb, pos
     return a, b, outcome
 
 

@@ -605,9 +605,8 @@ def build_mixing_factors(graph, gates, bp, sel) -> list[FactorRecord]:
 
 
 def build_mixing_map(graph, factors: list[FactorRecord]) -> MapChain:
-    """h = h'∘h' where h' composes all link and stamp factors."""
-    half = [rec.map for rec in factors]
-    return MapChain(graph, half + half)
+    """h = h'∘h' where h' composes all link and stamp factors: one block, run twice."""
+    return MapChain(graph, [rec.map for rec in factors]).power(2)
 
 
 def build_turn_legalizers(graph, gates, bp, sel) -> list[FactorRecord]:
@@ -630,14 +629,17 @@ def build_legalizing_map(
     length upward while witnesses are merely not-g-long, and prepends the
     matching legalizer whenever a witness family has an illegal image
     turn, for C up to ``bp.c_max`` and ``LEGALIZING_MAX_ROUNDS`` rounds.
+    The legalizers form one block and the prepended ones another, and
+    every chain shares the tables of ``h``.
     Existence of some legalizing composition is guaranteed, so an
     exhausted search signals a bug rather than a hard instance.
     """
     by_turn = {frozenset(rec.turn.tokens()): rec for rec in legalizers if rec.turn}
-    factors = list(h.factors) + [rec.map for rec in legalizers] + list(h.factors)
+    base = h.then(MapChain(graph, [rec.map for rec in legalizers])).then(h)
+    appended: list[GraphMap] = []
     log: list[str] = []
     for round_no in range(LEGALIZING_MAX_ROUNDS + 1):
-        chain = MapChain(graph, factors)
+        chain = base.then(MapChain(graph, appended)) if appended else base
         C = bp.long_turn_length
         while C <= bp.c_max:
             cert = verify_legalizing(chain, gates, C)
@@ -659,7 +661,7 @@ def build_legalizing_map(
             raise LegalizingSearchError(
                 f"no legalizer available for witness turn {cert.witness_image_turn!r}"
             )
-        factors.append(rec.map)
+        appended.append(rec.map)
         log.append(
             f"round {round_no}: witness {cert.witness_image_turn} at C={cert.branch_length};"
             f" appended {rec.name}"
@@ -716,9 +718,18 @@ class RealizationResult:
         memo: dict = {}
         mixing = [FactorRecord.from_json(graph, r, memo) for r in data["mixing_factors"]]
         legalizers = [FactorRecord.from_json(graph, r, memo) for r in data["legalizers"]]
-        h = MapChain.from_json(graph, data["map_h"], memo)
-        g = MapChain.from_json(graph, data["map_g"], memo)
-        final = MapChain.from_json(graph, data["map_final"], memo)
+
+        def block(records: list[FactorRecord], key: str):
+            """The records' maps as one chain, with their stored dicts."""
+            if not records:
+                return None
+            return MapChain(graph, [r.map for r in records]), [r["map"] for r in data[key]]
+
+        half, legalize = block(mixing, "mixing_factors"), block(legalizers, "legalizers")
+        stored_h, stored_g, stored_final = (data[k]["factors"] for k in ("map_h", "map_g", "map_final"))
+        h = _rebuilt(graph, stored_h, (half, half), memo)
+        g = _rebuilt(graph, stored_g, ((h, stored_h), legalize, (h, stored_h)), memo)
+        final = _rebuilt(graph, stored_final, ((g, stored_g), (h, stored_h)), memo)
         cert_data = data["legalizing"]
         if not isinstance(cert_data["C"], int):
             raise TypeError(f"legalizing C must be an integer, got {cert_data['C']!r}")
@@ -741,6 +752,32 @@ class RealizationResult:
             final=final,
             legalizing_cert=cert,
         )
+
+
+def _rebuilt(
+    graph: Graph,
+    stored: list[dict],
+    parts: Sequence[tuple[MapChain, list[dict]] | None],
+    memo: dict,
+) -> MapChain:
+    """The chain of the stored factor dicts.
+
+    ``parts`` are (chain, stored dicts) pairs.  When the parts' dicts start
+    the list, the chain is the parts joined by ``then``, and any factors
+    after them one more block: so the parts' tables are shared, and their
+    factors are not decoded again.  Else the whole list is decoded as one
+    block.  Either way the chain's factors equal the decoded list.
+    """
+    chain, at = None, 0
+    for part in parts:
+        if part is None or stored[at:at + len(part[1])] != part[1]:
+            return MapChain.from_json(graph, {"factors": stored}, memo)
+        block, dicts = part
+        chain = block if chain is None else chain.then(block)
+        at += len(dicts)
+    if at < len(stored):
+        chain = chain.then(MapChain.from_json(graph, {"factors": stored[at:]}, memo))
+    return chain
 
 
 def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
@@ -766,7 +803,7 @@ def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
     if any(h.image_length(e) < 2 for e in graph.positive_edges):
         raise SelectorError("mixing map fails the length-2 expansion requirement")
     g, cert, _ = build_legalizing_map(graph, gates, bp, h, legalizers)
-    final = MapChain(graph, g.factors + h.factors)
+    final = g.then(h)
     result = RealizationResult(
         blueprint=bp,
         graph=graph,

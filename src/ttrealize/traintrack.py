@@ -10,7 +10,7 @@ vertices are the image of the same power of the vertex map.
 Maps may be materialized (``GraphMap``) or factored (``MapChain``),
 except in ``long_turn_image``, which spells its branches out.  The
 verifiers work through exact lengths, lazy letter windows and the chain
-table's crossed turns, so nothing here ever materializes a composed edge
+tables' crossed turns, so nothing here ever materializes a composed edge
 image.
 """
 
@@ -31,6 +31,7 @@ from .core import (
 )
 from .maps import (
     ComparisonBudgetError,
+    GraphMap,
     MapChain,
     MapError,
     as_chain,
@@ -112,8 +113,12 @@ def gate_direction_map(f, gates: GateStructure) -> dict[int, int] | None:
 
 
 def fixes_all_gates(f, gates: GateStructure) -> bool:
-    gmap = gate_direction_map(f, gates)
-    return gmap is not None and all(k == v for k, v in gmap.items())
+    """Whether every gate maps to itself, that is every direction lands in
+    its own gate.  A ``GraphMap`` is read only at the tokens it moves: a
+    direction it leaves alone stays in its gate."""
+    tokens = f.touched_tokens if isinstance(f, GraphMap) else f.graph.directed_edges
+    gate_of = gates.gate_of
+    return all(gate_of(f.direction(t)) == gate_of(t) for t in tokens)
 
 
 # -- train track validation ------------------------------------------------
@@ -138,12 +143,15 @@ def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics
     are nonempty, legal edge images stay legal through maps that send legal
     paths to legal paths, and its direction map, the composite of the
     factors' direction maps, sends legal turns to legal turns.  No edge
-    image is ever empty: ``GraphMap`` rejects contracted edges.
+    image is ever empty: ``GraphMap`` rejects contracted edges.  A factor
+    is read only where it moves: an edge it fixes has a legal one-letter
+    image.
     """
     edges = f.graph.positive_edges
-    for factor in dict.fromkeys(f.factors):
+    for factor in {id(factor): factor for factor in f.factors}.values():
+        moved = factor.touched_tokens
         diag = TrainTrackDiagnostics(
-            tuple(e for e in edges if not is_legal_word(factor.image_edges(e), gates)),
+            tuple(e for e in edges if e in moved and not is_legal_word(factor.image_edges(e), gates)),
             tuple(_illegal_legal_turn_images(factor, gates)),
         )
         if not diag.ok:
@@ -151,15 +159,20 @@ def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics
     return TrainTrackDiagnostics((), ())
 
 
-def _illegal_legal_turn_images(f, gates: GateStructure) -> list[tuple[str, str]]:
+def _illegal_legal_turn_images(f: GraphMap, gates: GateStructure) -> list[tuple[str, str]]:
+    """The legal turns that ``f`` maps to illegal or degenerate ones, in
+    the order of ``turns_at``.  Only the pairs with a moved direction are
+    read: a turn whose directions both stay put maps to itself."""
+    moved = {t for t in f.touched_tokens if f.direction(t) != t}
     bad = []
-    df = direction_map(f)
     for v in f.graph.vertices:
-        # the pairs of turns_at, made into Turns only when reported; a
-        # turn whose directions both stay put maps to itself
-        for a, b in itertools.combinations(f.graph.edges_at(v), 2):
-            da, db = df[a], df[b]
-            if (da != a or db != b) and gates.is_legal_turn(a, b):
+        edges = f.graph.edges_at(v)
+        if moved.isdisjoint(edges):
+            continue
+        # the pairs of turns_at, made into Turns only when reported
+        for a, b in itertools.combinations(edges, 2):
+            if (a in moved or b in moved) and gates.is_legal_turn(a, b):
+                da, db = f.direction(a), f.direction(b)
                 if da == db or not gates.is_legal_turn(da, db):
                     bad.append(Turn(a, b).tokens())
     return bad
@@ -185,7 +198,7 @@ def is_classical_train_track(f) -> bool:
     """All iterated edge images reduced: no taken turn ever degenerates.
 
     The taken turns are those crossed by single edge images, read exactly
-    from the chain table for a map and a chain alike; they are closed
+    from the chain tables for a map and a chain alike; they are closed
     under the direction map, and some ``f^t(e)`` is unreduced iff some
     taken turn has equal eventual directions.
     """

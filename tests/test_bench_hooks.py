@@ -4,8 +4,12 @@
 benchmark workloads call ``cli.enumerate_admissible``; a rename in the
 package would otherwise surface only in a benchmark run.  The benchmark
 reads strip-search time and counters under the
-``traintrack.find_periodic_inps`` span.  The install runs in a
-subprocess because it rebinds module globals for good.
+``traintrack.find_periodic_inps`` span.  The traced run encodes,
+decodes and certifies a realization and grades one experiment sample,
+and the layers the benchmark's read side and experiment report must have
+been entered, not only wrapped; the encode hook also reads ``final``'s
+image lengths.  The install runs in a subprocess because it rebinds
+module globals for good.
 """
 
 import subprocess
@@ -15,18 +19,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
+import json
 import sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import ttrealize
 import ttrealize.cli
+import ttrealize.experiment
 import tracing
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
 assert len(ttrealize.cli.enumerate_admissible(3)) == 6
-ttrealize.realize(3, (1,))
-print(" ".join(sorted(tracer.layer_totals())))
+result = ttrealize.realize(3, (1,))
+doc = json.loads(json.dumps(result.to_json()))
+decoded = ttrealize.RealizationResult.from_json(doc)
+assert ttrealize.certify_realization(decoded).level == "full_theorem_62"
+ttrealize.experiment.grade_sample(ttrealize.sample_positive_automorphism(3, 8, 1))
+assert tracer.counters["realize.final_letters"] > 0
+print(" ".join(f"{{name}}={{row['calls']}}" for name, row in sorted(tracer.layer_totals().items())))
 """
+
+# layers the traced run above must enter
+ENTERED = (
+    "maps.lengths",
+    "realize.to_json",
+    "realize.from_json",
+    "certify.certify_realization",
+    "experiment.grade_sample",
+)
 
 
 def test_tracer_installs_on_the_package():
@@ -35,7 +55,10 @@ def test_tracer_installs_on_the_package():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
-    layers = set(run.stdout.split())
+    calls = {name: int(n) for name, _, n in (item.partition("=") for item in run.stdout.split())}
+    layers = set(calls)
+    for layer in ENTERED:
+        assert calls.get(layer, 0) > 0, (layer, calls)
     for layer in (
         "realize.select_paths",
         "realize.build_factors",

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 
 from ttrealize.cli import main
-from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix
+from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix, _ChainTable
 from ttrealize.realize import RealizationResult, enumerate_admissible, realize
 from ttrealize.traintrack import find_periodic_inps
 from ttrealize.certify import (
@@ -264,6 +264,65 @@ def test_read_path_multiplies_no_matrices_and_decodes_each_factor_once(monkeypat
     for rec in decoded.mixing_factors:
         assert shared[rec.map] is rec.map
     assert json.dumps(decoded.to_json(), sort_keys=True) == text
+
+
+def recorded_builds(monkeypatch) -> list:
+    """Every chain table built from here on, in build order."""
+    built = []
+    build = _ChainTable.build
+
+    def recorded(table):
+        if table.kids is None:
+            built.append(table)
+        build(table)
+
+    monkeypatch.setattr(_ChainTable, "build", recorded)
+    return built
+
+
+def assert_one_table_per_block(result, built) -> None:
+    """final runs g's passes and then h's own, g opens and closes with h's
+    tables, and the only tables built are one per distinct block."""
+    h, g, final = result.h, result.g, result.final
+    assert len(h.blocks) == 2 and h.blocks[0] is h.blocks[1]
+    assert all(a is b for a, b in zip(g.blocks[:2] + g.blocks[3:5], h.blocks * 2))
+    assert all(a is b for a, b in zip(final.blocks, g.blocks + h.blocks))
+    assert len(final.blocks) == len(g.blocks) + len(h.blocks)
+    assert all(a is b for a, b in zip(final._passes[-2:], h._passes))
+    blocks = {id(t) for t in final.blocks}
+    assert [id(t) for t in built] == list(dict.fromkeys(id(t) for t in built))
+    assert {id(t) for t in built} == blocks
+
+
+def test_realize_builds_one_table_per_distinct_block(monkeypatch):
+    built = recorded_builds(monkeypatch)
+    result = realize(5, (2, 1, 1))
+    assert result.report.level == FULL_THEOREM
+    assert_one_table_per_block(result, built)
+    # every query on final reads the tables h and g built
+    count = len(built)
+    result.final.crossed_turns, result.final.image_length("a1"), result.final.direction("c1")
+    assert len(built) == count
+
+
+def test_decoding_rebuilds_the_shared_blocks(monkeypatch):
+    built = recorded_builds(monkeypatch)
+    decoded = RealizationResult.from_json(json.loads(OLD_FORMAT.read_text()))
+    assert certify_realization(decoded).level == FULL_THEOREM
+    assert_one_table_per_block(decoded, built)
+
+
+def test_a_final_map_that_is_not_g_then_h_is_one_block():
+    """map_final = map_h + map_g holds the right factors in the wrong
+    order: it decodes to a chain of its own, and loses the full tier."""
+    doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
+    doc["map_final"] = {"factors": doc["map_h"]["factors"] + doc["map_g"]["factors"]}
+    decoded = RealizationResult.from_json(doc)
+    assert len(decoded.final.blocks) == 1
+    assert decoded.final.blocks[0] not in decoded.g.blocks
+    report = certify_realization(decoded)
+    assert report.level != FULL_THEOREM
+    assert "map_final is not map_g followed by map_h" in report.notes
 
 
 def test_realize_verifies_its_legalizing_map_once(monkeypatch):

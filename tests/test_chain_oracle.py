@@ -8,8 +8,10 @@ composed ``GraphMap`` on lengths, directions, letter windows, word windows,
 cursors seeking and spelling at random offsets, image comparison and the
 strip step's windows, and on the sign algebra: the sign pattern, the
 primitivity verdict and witness, and the least expanding power.  Each
-chain also meets its composed map on the turns its edge images cross
-and the gate-Whitehead graphs.  The classical train track verdict, the
+also meets its composed map on the vertex map, the turns its edge
+images cross and the gate-Whitehead graphs.  So do chains joined from
+pieces of a factor list with ``then``, their powers, and the shapes
+``realize`` builds, whose passes repeat one table.  The classical train track verdict, the
 intrinsic gates and the periodic vertices of chains, of composed maps and
 of random single maps are checked against brute-force references that
 walk orbits step by step.
@@ -131,7 +133,8 @@ def check_against(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
             count = rng.randrange(0, 12)
             same_letters(chain.image_window(t, start, count), full[start:start + count])
     for _ in range(6):
-        word_a = tuple(rng.choice(tokens) for _ in range(rng.randint(1, 3)))
+        # words up to 12 letters cross the cursors' first chunks of roots
+        word_a = tuple(rng.choice(tokens) for _ in range(rng.randint(1, 12)))
         cut = rng.randint(0, len(word_a))
         word_b = word_a[:cut] + tuple(rng.choice(tokens) for _ in range(rng.randint(0, 2)))
         if not word_b:
@@ -160,7 +163,7 @@ def check_cursor(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
     letter, spell a window, seek further on and spell again."""
     tokens = list(chain.graph.directed_edges)
     for _ in range(6):
-        word = tuple(rng.choice(tokens) for _ in range(rng.randint(1, 4)))
+        word = tuple(rng.choice(tokens) for _ in range(rng.randint(1, 12)))
         full = image_of(dense, word)
         cursor = ImageCursor(chain, word)
         start = rng.randrange(len(full) + 2)
@@ -267,9 +270,9 @@ def check_intrinsic(f, dense: GraphMap) -> GateStructure | None:
 
 
 def check_turns(chain: MapChain, dense: GraphMap) -> None:
-    """Crossed turns, classical verdict and Whitehead graphs of one pass;
-    the Whitehead graphs use the intrinsic gates when the map is classical,
-    else singleton gates, and a map moving a vertex must fail alike."""
+    """Crossed turns, classical verdict and Whitehead graphs; the Whitehead
+    graphs use the intrinsic gates when the map is classical, else
+    singleton gates, and a map moving a vertex must fail alike."""
     graph = chain.graph
     turns = {t for e in graph.positive_edges for t in crossed_turns(dense.image(e))}
     assert chain.crossed_turns == turns
@@ -278,8 +281,14 @@ def check_turns(chain: MapChain, dense: GraphMap) -> None:
     if gates is None:
         gates = GateStructure.singletons(graph)
     assert whitehead_or_error(chain, gates) == whitehead_or_error(dense, gates)
-    with pytest.raises(MapError):
-        chain.power(2).crossed_turns
+
+
+def check_every_query(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
+    assert chain.vertex_image == dense.vertex_image
+    check_against(chain, dense, rng)
+    check_cursor(chain, dense, rng)
+    check_signs(chain, dense)
+    check_turns(chain, dense)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -291,14 +300,56 @@ def check_turns(chain: MapChain, dense: GraphMap) -> None:
 def test_chain_and_powers_match_materialized_maps(kind, seed, length):
     chain = draw_chain(kind, seed, length)
     rng = random.Random(seed + 1)
-    dense_powers = materialized_powers(chain, 4)
-    check_turns(chain, dense_powers[0])
-    for p, dense in enumerate(dense_powers, start=1):
-        view = chain.power(p)
-        assert view.vertex_image == dense.vertex_image
-        check_against(view, dense, rng)
-        check_cursor(view, dense, rng)
-        check_signs(view, dense)
+    for p, dense in enumerate(materialized_powers(chain, 4), start=1):
+        check_every_query(chain.power(p), dense, rng)
+
+
+def cut_into_pieces(chain: MapChain, rng: random.Random) -> list[MapChain]:
+    """The chain's factor list cut at one to three random points."""
+    n = len(chain.factors)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+    return [
+        MapChain(chain.graph, chain.factors[i:j])
+        for i, j in zip([0] + cuts, cuts + [n])
+    ]
+
+
+def materialized_or_none(chain: MapChain) -> GraphMap | None:
+    """The composite of the chain's factors, unless it exceeds LETTER_CAP letters."""
+    if sum(chain.image_length(e) for e in chain.graph.positive_edges) > LETTER_CAP:
+        return None
+    return materialized_powers(chain, 1)[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["sparse", "mixed", "rose"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    length=st.integers(min_value=2, max_value=12),
+)
+def test_compositions_match_materialized_maps(kind, seed, length):
+    """Pieces of a chain joined by ``then``, and the powers of the join,
+    answer every query as the materialized composite does; so do the
+    shapes ``realize`` builds from two pieces x and y, h = x x, g = h y h
+    and g h, whose passes repeat the pieces' tables."""
+    chain = draw_chain(kind, seed, length)
+    rng = random.Random(seed + 2)
+    pieces = cut_into_pieces(chain, rng)
+    joined = pieces[0]
+    for piece in pieces[1:]:
+        joined = joined.then(piece)
+    assert joined.factors == chain.factors
+    assert len(joined._passes) == len(pieces)
+    for p, dense in enumerate(materialized_powers(chain, 3), start=1):
+        check_every_query(joined.power(p), dense, rng)
+    h = pieces[0].power(2)
+    g = h.then(pieces[-1]).then(h)
+    final = g.then(h)
+    assert final._passes[-2:] == h._passes and g._passes[-2:] == h._passes
+    for composite in (h, g, final):
+        dense = materialized_or_none(composite)
+        if dense is not None:
+            check_every_query(composite, dense, rng)
 
 
 def test_intrinsic_gates_match_pair_walks_on_random_maps():

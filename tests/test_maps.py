@@ -246,6 +246,9 @@ def test_map_validation_errors(rose2):
         ("image of 'a' ends at the wrong vertex", two,
          {"a": ("a", "~b"), "b": ("b",), "c": ("c",)}, fixed),
         ("vertex image 'w' not a vertex", rose2, {"a": ("a",), "b": ("b",)}, {"v1": "w"}),
+        # identity images, but the given vertex map swaps u and v
+        ("image of 'a' is not a path", two, {"a": ("a",), "b": ("b",), "c": ("c",)},
+         {"u": "v", "v": "u"}),
         # a sends u to u, ~b sends it to v
         ("incoherent images at vertex 'u'", two, {"a": ("a",), "b": ("~b",), "c": ("c",)}, None),
     ]

@@ -1,12 +1,13 @@
 """Direction maps, train track checks, Whitehead graphs, long turns, Nielsen search."""
 
+import itertools
 import random
 
 import pytest
 
 from ttrealize import traintrack
 from ttrealize.certify import expanding_power
-from ttrealize.core import GateStructure, Graph, Path, inverse
+from ttrealize.core import GateStructure, Graph, Path, inverse, is_legal_word
 from ttrealize.experiment import sample_positive_automorphism
 from ttrealize.maps import (
     ComparisonBudgetError,
@@ -20,6 +21,7 @@ from ttrealize.traintrack import (
     FOUND,
     NONE_FOUND,
     LongTurn,
+    TrainTrackDiagnostics,
     Turn,
     check_train_track_morphism,
     count_long_turns,
@@ -36,6 +38,8 @@ from ttrealize.traintrack import (
     whitehead_graphs,
 )
 from ttrealize.realize import select_paths
+from test_chain_oracle import sparse_factor
+from test_maps import random_graph, random_self_map
 
 
 def fib(rose2):
@@ -82,6 +86,55 @@ def test_constructed_map_is_train_track(even_instance):
     assert diag.ok
     diag2 = check_train_track_morphism(even_instance.final, even_instance.gates)
     assert diag2.ok
+
+
+def random_gates(graph: Graph, rng: random.Random) -> GateStructure:
+    """Each vertex's directions shuffled and cut into random gates."""
+    groups = []
+    for v in graph.vertices:
+        edges = list(graph.edges_at(v))
+        rng.shuffle(edges)
+        while edges:
+            k = rng.randint(1, len(edges))
+            groups.append(edges[:k])
+            edges = edges[k:]
+    return GateStructure(graph, groups)
+
+
+def test_factor_checks_read_only_what_moves_yet_match_full_checks():
+    """Reading only the moved edges, the turns with a moved direction and
+    the moved directions' gates gives the diagnostics and the gate verdict
+    of checking every edge, every turn and every gate."""
+    rng = random.Random(2718)
+    seen = {"bad_image": 0, "bad_turn": 0, "ok": 0, "moves_gate": 0, "fixes_gates": 0}
+    for _ in range(400):
+        graph = random_graph(rng)
+        gates = GateStructure.singletons(graph) if rng.random() < 0.4 else random_gates(graph, rng)
+        try:
+            f = sparse_factor(graph, rng) if rng.random() < 0.5 else random_self_map(graph, rng, rng.randint(1, 2))
+        except ValueError:
+            continue
+        df = direction_map(f)
+        want = TrainTrackDiagnostics(
+            tuple(e for e in graph.positive_edges if not is_legal_word(f.image_edges(e), gates)),
+            tuple(
+                Turn(a, b).tokens()
+                for v in graph.vertices
+                for a, b in itertools.combinations(graph.edges_at(v), 2)
+                if gates.is_legal_turn(a, b)
+                and (df[a] == df[b] or not gates.is_legal_turn(df[a], df[b]))
+            ),
+        )
+        assert check_train_track_morphism(f, gates) == want
+        gmap = gate_direction_map(f, gates)
+        fixes = gmap is not None and all(k == v for k, v in gmap.items())
+        assert fixes_all_gates(f, gates) == fixes
+        assert fixes_all_gates(MapChain(graph, [f]), gates) == fixes
+        seen["bad_image"] += bool(want.illegal_images)
+        seen["bad_turn"] += bool(want.illegal_turn_images)
+        seen["ok"] += want.ok
+        seen["fixes_gates" if fixes else "moves_gate"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_gate_direction_bijection_on_constructed_maps(even_instance):
