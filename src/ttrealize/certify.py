@@ -3,12 +3,12 @@
 The full certificate route checks the structural hypotheses (positive
 transition matrix and connected gate-Whitehead graphs for the mixing map,
 a valid legalizing certificate for the second factor, vertices and gates
-fixed, the composed map made of exactly these factors, its gate index list
-the blueprint's); together these guarantee a fully irreducible
-automorphism whose stable index list is the requested one, with no
-periodic Nielsen paths.  That absence is a conclusion of the theorem,
-not a hypothesis, so a map certified this way runs no Nielsen-path search
-and its report reads ``not_needed``.  The bounded search runs only where
+fixed, the composed map made of exactly these factors, its graph's rank
+and gate index list the blueprint's); together these guarantee a fully
+irreducible automorphism whose stable index list is the requested one,
+with no periodic Nielsen paths.  That absence is a conclusion of the
+theorem, not a hypothesis, so a map certified this way runs no
+Nielsen-path search and its report reads ``not_needed``.  The bounded search runs only where
 the structural route fails: the conditional tier grades maps that only
 offer primitivity, Whitehead connectivity and a clean search, honest but
 weaker.  Positivity and primitivity are read from sign patterns, never
@@ -46,8 +46,6 @@ FULL_THEOREM = "full_theorem_62"
 CONDITIONAL = "conditional"
 FAILED = "failed"
 NOT_NEEDED = "not_needed"  # the report's search verdict when no search ran
-
-_LEVEL_ORDER = {FAILED: 0, CONDITIONAL: 1, FULL_THEOREM: 2}
 
 
 @dataclass
@@ -117,8 +115,11 @@ def _grade(result, legalizing_ok: bool, final_tt: bool) -> CertificationReport:
     requested = index_list == result.blueprint.index_list
     if not requested:
         notes.append("the realized index list is not the blueprint's")
+    ranked = graph.rank == result.blueprint.rank
+    if not ranked:
+        notes.append("the graph's rank is not the blueprint's")
     structural = (h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
-                  and composed and mixed and requested)
+                  and composed and mixed and requested and ranked)
 
     primitive, witness = is_primitive(final.sign_pattern)
     final_whitehead = whitehead_graphs(final, gates)

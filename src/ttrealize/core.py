@@ -162,20 +162,6 @@ class Graph:
     def path_end(self, path: Path) -> str:
         return self.term_of(path.edges[-1]) if path.edges else path.start
 
-    def reverse_path(self, path: Path) -> Path:
-        return Path(self.path_end(path), inverse_word(path.edges))
-
-    def concat(self, *paths: Path) -> Path:
-        head = paths[0]
-        edges = list(head.edges)
-        at = self.path_end(head)
-        for p in paths[1:]:
-            if p.start != at:
-                raise GraphError("paths are not composable")
-            edges.extend(p.edges)
-            at = self.path_end(p)
-        return Path(head.start, tuple(edges))
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:

@@ -3,10 +3,10 @@
 Validates an index list, builds the gated circle-with-loops graph whose
 gate counts realize it, selects the legal carrier/witness/split paths
 (one dict keyed by clause kind and key), assembles the positively-mixing
-map h and the turn legalizers g_t, searches for a certified legalizing
-composition g, and returns h∘g with its certificate bundle.  The
-document stores only what the decoder reads: the selected paths live on
-in the factors built from them, and the legalizing search log is not kept.
+map h and the turn legalizers L, certifies g = h∘L∘h legalizing at the
+least C of a doubling ladder, and returns h∘g with its certificate
+bundle.  The document stores only what the decoder reads: the selected
+paths live on in the factors built from them.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ ODD_LOOP_COUNT_NOTE = (
 )
 
 SELECT_MAX_LEN = 128  # longest word the selector search tries
-LEGALIZING_MAX_ROUNDS = 32  # most legalizers the legalizing search appends
 
 
 class InvalidIndexList(ValueError):
@@ -58,7 +57,7 @@ class SelectorError(RuntimeError):
 
 
 class LegalizingSearchError(RuntimeError):
-    """Raised when the certified legalizing search exhausts its bounds."""
+    """Raised when h∘L∘h is not legalizing at any C up to the cap."""
 
 
 # -- blueprints ----------------------------------------------------------------
@@ -90,7 +89,7 @@ class RealizationBlueprint:
 
     @property
     def c_max(self) -> int:
-        """The cap on the legalizing search's C, and on a document's stored C."""
+        """The cap on the legalizing ladder's C, and on a document's stored C."""
         return 64 * self.long_turn_length
 
 
@@ -445,7 +444,6 @@ class FactorRecord:
     name: str
     map: GraphMap
     inverse: GraphMap
-    turn: Turn | None = None
 
     def to_json(self, memo: dict | None = None) -> dict:
         return {"name": self.name, "map": self.map.to_json(memo), "inverse": self.inverse.to_json(memo)}
@@ -534,7 +532,7 @@ def build_turn_legalizer(
                 + ("b1",),
             },
         )
-        return FactorRecord(name, fwd, back, turn)
+        return FactorRecord(name, fwd, back)
     if {a, b} == {"d", "~d"}:
         fwd = GraphMap.from_updates(
             graph,
@@ -547,7 +545,7 @@ def build_turn_legalizer(
                 "d": ("d",) + circle + ("~a1",),
             },
         )
-        return FactorRecord(name, fwd, back, turn)
+        return FactorRecord(name, fwd, back)
     gate1 = gates.gate_of("c1")
     if gates.gate_of(a) == gate1:
         # within gate 1: components are a_i and e with e = c1 or a_j
@@ -568,7 +566,7 @@ def build_turn_legalizer(
                 + inverse_word(extension),
             },
         )
-        return FactorRecord(name, fwd, back, turn)
+        return FactorRecord(name, fwd, back)
     # within gate 2: components are ~a_i and ~e with e = c_l or a_j
     a_i, e = sorted((inverse(t) for t in turn.tokens()), key=token_key)
     extension, ret = sel["entry", e], sel["return", e]
@@ -587,7 +585,7 @@ def build_turn_legalizer(
             + ret,
         },
     )
-    return FactorRecord(name, fwd, back, turn)
+    return FactorRecord(name, fwd, back)
 
 
 def build_mixing_factors(graph, gates, bp, sel) -> list[FactorRecord]:
@@ -623,50 +621,25 @@ def build_legalizing_map(
     h: MapChain,
     legalizers: list[FactorRecord],
 ) -> tuple[MapChain, LegalizingCertificate, list[str]]:
-    """Certified legalizing composition of h and the turn legalizers.
+    """g = h∘L∘h, L the turn legalizers as one block, certified legalizing.
 
-    Starts from h ∘ (all legalizers) ∘ h, ladders the checked branch
-    length upward while witnesses are merely not-g-long, and prepends the
-    matching legalizer whenever a witness family has an illegal image
-    turn, for C up to ``bp.c_max`` and ``LEGALIZING_MAX_ROUNDS`` rounds.
-    The legalizers form one block and the prepended ones another, and
-    every chain shares the tables of ``h``.
-    Existence of some legalizing composition is guaranteed, so an
-    exhausted search signals a bug rather than a hard instance.
+    Checks C = long_turn_length, 2C, 4C, ... up to ``bp.c_max`` while the
+    witness is only not g-long, and returns g with the certificate at the
+    first C that passes and a one-entry log.  Any other failure, or
+    reaching the cap, raises ``LegalizingSearchError``.  g shares the
+    tables of ``h``.
     """
-    by_turn = {frozenset(rec.turn.tokens()): rec for rec in legalizers if rec.turn}
-    base = h.then(MapChain(graph, [rec.map for rec in legalizers])).then(h)
-    appended: list[GraphMap] = []
-    log: list[str] = []
-    for round_no in range(LEGALIZING_MAX_ROUNDS + 1):
-        chain = base.then(MapChain(graph, appended)) if appended else base
-        C = bp.long_turn_length
-        while C <= bp.c_max:
-            cert = verify_legalizing(chain, gates, C)
-            if cert.ok:
-                log.append(f"round {round_no}: legalizing at C={C}")
-                return chain, cert, log
-            if cert.witness_reason == "not g-long":
-                C *= 2
-                continue
-            break
-        if cert.witness_image_turn is None:
+    chain = h.then(MapChain(graph, [rec.map for rec in legalizers])).then(h)
+    C = bp.long_turn_length
+    while True:
+        cert = verify_legalizing(chain, gates, C)
+        if cert.ok:
+            return chain, cert, [f"h∘L∘h legalizing at C={C}"]
+        if cert.witness_reason != "not g-long" or 2 * C > bp.c_max:
             raise LegalizingSearchError(
-                "legalizing search stuck on a not-g-long witness: "
-                f"{cert.to_json()} after rounds {log!r}"
+                f"h∘L∘h is not legalizing at C={C} (cap {bp.c_max}): {cert.to_json()}"
             )
-        key = frozenset(cert.witness_image_turn)
-        rec = by_turn.get(key)
-        if rec is None:
-            raise LegalizingSearchError(
-                f"no legalizer available for witness turn {cert.witness_image_turn!r}"
-            )
-        appended.append(rec.map)
-        log.append(
-            f"round {round_no}: witness {cert.witness_image_turn} at C={cert.branch_length};"
-            f" appended {rec.name}"
-        )
-    raise LegalizingSearchError(f"legalizing search exceeded {LEGALIZING_MAX_ROUNDS} rounds: {log!r}")
+        C *= 2
 
 
 # -- the full pipeline -----------------------------------------------------------
@@ -719,17 +692,7 @@ class RealizationResult:
         mixing = [FactorRecord.from_json(graph, r, memo) for r in data["mixing_factors"]]
         legalizers = [FactorRecord.from_json(graph, r, memo) for r in data["legalizers"]]
 
-        def block(records: list[FactorRecord], key: str):
-            """The records' maps as one chain, with their stored dicts."""
-            if not records:
-                return None
-            return MapChain(graph, [r.map for r in records]), [r["map"] for r in data[key]]
-
-        half, legalize = block(mixing, "mixing_factors"), block(legalizers, "legalizers")
-        stored_h, stored_g, stored_final = (data[k]["factors"] for k in ("map_h", "map_g", "map_final"))
-        h = _rebuilt(graph, stored_h, (half, half), memo)
-        g = _rebuilt(graph, stored_g, ((h, stored_h), legalize, (h, stored_h)), memo)
-        final = _rebuilt(graph, stored_final, ((g, stored_g), (h, stored_h)), memo)
+        h, g, final = _decoded_chains(graph, data, mixing, legalizers, memo)
         cert_data = data["legalizing"]
         if not isinstance(cert_data["C"], int):
             raise TypeError(f"legalizing C must be an integer, got {cert_data['C']!r}")
@@ -754,30 +717,27 @@ class RealizationResult:
         )
 
 
-def _rebuilt(
-    graph: Graph,
-    stored: list[dict],
-    parts: Sequence[tuple[MapChain, list[dict]] | None],
-    memo: dict,
-) -> MapChain:
-    """The chain of the stored factor dicts.
+def _decoded_chains(graph: Graph, data: dict, mixing, legalizers, memo: dict):
+    """``map_h``, ``map_g`` and ``map_final``, decoded.
 
-    ``parts`` are (chain, stored dicts) pairs.  When the parts' dicts start
-    the list, the chain is the parts joined by ``then``, and any factors
-    after them one more block: so the parts' tables are shared, and their
-    factors are not decoded again.  Else the whole list is decoded as one
-    block.  Either way the chain's factors equal the decoded list.
+    A stored list equal to its expected dict list (h = H∘H, g = h∘L∘h,
+    final = g∘h, H the mixing records and L the legalizers) is the shared
+    chain of that shape, built from the records' maps, so its factors are
+    not decoded again.  Any other list is decoded as one block.  Either
+    way the chain's factors equal the decoded list.
     """
-    chain, at = None, 0
-    for part in parts:
-        if part is None or stored[at:at + len(part[1])] != part[1]:
-            return MapChain.from_json(graph, {"factors": stored}, memo)
-        block, dicts = part
-        chain = block if chain is None else chain.then(block)
-        at += len(dicts)
-    if at < len(stored):
-        chain = chain.then(MapChain.from_json(graph, {"factors": stored[at:]}, memo))
-    return chain
+    stored = [data[key]["factors"] for key in ("map_h", "map_g", "map_final")]
+    if not (mixing and legalizers):
+        return [MapChain.from_json(graph, {"factors": s}, memo) for s in stored]
+    h_dicts = [r["map"] for r in data["mixing_factors"]] * 2
+    g_dicts = h_dicts + [r["map"] for r in data["legalizers"]] + h_dicts
+    h = build_mixing_map(graph, mixing)
+    g = h.then(MapChain(graph, [r.map for r in legalizers])).then(h)
+    shapes = ((h, h_dicts), (g, g_dicts), (g.then(h), g_dicts + h_dicts))
+    return [
+        chain if s == dicts else MapChain.from_json(graph, {"factors": s}, memo)
+        for s, (chain, dicts) in zip(stored, shapes)
+    ]
 
 
 def realize(rank: int, entries: Sequence[int]) -> RealizationResult:

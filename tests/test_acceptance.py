@@ -48,7 +48,10 @@ def test_criterion_1_exhaustive_realization(sweep):
     failures = []
     for rank, entries, result in sweep:
         wanted = canonical_index_list(entries)
-        if result.report.level != FULL_THEOREM:
+        h, legalizers = result.h.factors, tuple(rec.map for rec in result.legalizers)
+        if result.g.factors != h + legalizers + h:
+            failures.append((rank, entries, "g is not h∘L∘h"))
+        elif result.report.level != FULL_THEOREM:
             failures.append((rank, entries, result.report.level))
         elif result.report.index_list != wanted:
             failures.append((rank, entries, result.report.index_list))

@@ -1,6 +1,7 @@
 """Certification tiers, stable index lists, conjugacy-class cross-checks."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import pathlib
@@ -13,8 +14,8 @@ from ttrealize.realize import RealizationResult, enumerate_admissible, realize
 from ttrealize.traintrack import find_periodic_inps
 from ttrealize.certify import (
     CONDITIONAL,
+    FAILED,
     FULL_THEOREM,
-    _LEVEL_ORDER,
     certify_realization,
     cyclic_tighten,
     cyclically_equal,
@@ -65,6 +66,9 @@ def _clone(result):
     return copy.copy(result)
 
 
+LEVEL_ORDER = {FAILED: 0, CONDITIONAL: 1, FULL_THEOREM: 2}
+
+
 def test_certification_level_monotone(odd_instance):
     result = _clone(odd_instance)
     result.legalizing_cert = dataclasses.replace(
@@ -73,7 +77,7 @@ def test_certification_level_monotone(odd_instance):
     downgraded = certify_realization(result)
     result.legalizing_cert = odd_instance.legalizing_cert
     restored = certify_realization(result)
-    assert _LEVEL_ORDER[restored.level] >= _LEVEL_ORDER[downgraded.level]
+    assert LEVEL_ORDER[restored.level] >= LEVEL_ORDER[downgraded.level]
 
 
 def test_index_sum_stays_in_admissible_region(even_instance, max_odd_instance):
@@ -153,11 +157,12 @@ def test_report_json_shape(even_instance):
     assert inp.period_bound == 8 and inp.length_bound == 200
 
 
-@pytest.mark.parametrize("tamper", ["map_final", "map_g", "legalizing"])
+@pytest.mark.parametrize("tamper", ["map_final", "map_g", "legalizing", "rank"])
 def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
-    """A document whose composed map is not g followed by h, or whose g
-    does not legalize at the stored C, does not get the full certificate,
-    whatever its stored legalizing verdict says."""
+    """A document whose composed map is not g followed by h, whose g does
+    not legalize at the stored C, or whose blueprint names another rank
+    than its graph's, does not get the full certificate, whatever its
+    stored legalizing verdict says."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
     h = doc["map_h"]
     edits, note = {
@@ -168,6 +173,8 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
             {"map_g": h, "map_final": {"factors": h["factors"] * 2}},
             "map_g is not legalizing at the stored C = 2",
         ),
+        # the same odd case at rank 4, so only the rank itself differs
+        "rank": ({"blueprint": {**doc["blueprint"], "rank": 4}}, "the graph's rank is not the blueprint's"),
     }[tamper]
     doc.update(edits)
     report = certify_realization(RealizationResult.from_json(doc))
@@ -312,17 +319,33 @@ def test_decoding_rebuilds_the_shared_blocks(monkeypatch):
     assert_one_table_per_block(decoded, built)
 
 
-def test_a_final_map_that_is_not_g_then_h_is_one_block():
-    """map_final = map_h + map_g holds the right factors in the wrong
-    order: it decodes to a chain of its own, and loses the full tier."""
+@pytest.mark.parametrize("key", ["map_h", "map_g", "map_final"])
+def test_a_final_map_that_is_not_g_then_h_is_one_block(key):
+    """A stored chain holding the right factors in the wrong order (map_h
+    reversed, map_g with the legalizers first, map_final = map_h + map_g)
+    decodes to a chain of its own, the other two keep the shared tables,
+    and the document loses the full tier."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
-    doc["map_final"] = {"factors": doc["map_h"]["factors"] + doc["map_g"]["factors"]}
+    h, g = doc["map_h"]["factors"], doc["map_g"]["factors"]
+    legalizers = [r["map"] for r in doc["legalizers"]]
+    factors, note = {
+        "map_h": (h[::-1], "map_h is not the mixing factors applied twice"),
+        "map_g": (legalizers + h + h, "map_final is not map_g followed by map_h"),
+        "map_final": (h + g, "map_final is not map_g followed by map_h"),
+    }[key]
+    doc[key] = {"factors": factors}
     decoded = RealizationResult.from_json(doc)
-    assert len(decoded.final.blocks) == 1
-    assert decoded.final.blocks[0] not in decoded.g.blocks
+    chains = {"map_h": decoded.h, "map_g": decoded.g, "map_final": decoded.final}
+    altered = chains.pop(key)
+    assert len(altered.blocks) == 1
+    assert altered.factors == MapChain.from_json(decoded.graph, doc[key]).factors
+    shared = {id(t) for chain in chains.values() for t in chain.blocks}
+    assert len(shared) == 2 and id(altered.blocks[0]) not in shared
+    blocks = {"map_h": 2, "map_g": 5, "map_final": 7}
+    assert all(len(chain.blocks) == blocks[k] for k, chain in chains.items())
     report = certify_realization(decoded)
     assert report.level != FULL_THEOREM
-    assert "map_final is not map_g followed by map_h" in report.notes
+    assert note in report.notes
 
 
 def test_realize_verifies_its_legalizing_map_once(monkeypatch):
@@ -354,17 +377,27 @@ def test_realize_verifies_its_legalizing_map_once(monkeypatch):
     assert len(calls) == 1
 
 
+# SHA-256 of json.dumps of each rank 3-4 document and then its certify
+# report, in enumeration order.  A change that alters outputs on purpose
+# updates it and says why.
+RANK_3_AND_4_OUTPUTS = "5723097fb347a8eff61cf7c4ed12e795e27ce766e2ce4c095a3b9aaf5cd0d7d6"
+
+
 def test_realize_grades_as_certify_does_on_every_rank_3_and_4_list():
     """realize grades with the legalizing and train track verdicts it has
     just derived; certify re-derives both from the document alone, and the
-    two reports agree."""
+    two reports agree.  The documents and reports are the pinned ones."""
     lists = [(rank, lst) for rank in (3, 4) for lst in enumerate_admissible(rank)]
     assert len(lists) == 24
+    digest = hashlib.sha256()
     for rank, lst in lists:
         result = realize(rank, lst)
-        doc = result.to_json()
-        decoded = RealizationResult.from_json(json.loads(json.dumps(doc)))
-        assert result.report.to_json() == certify_realization(decoded).to_json()
+        text = json.dumps(result.to_json())
+        report = certify_realization(RealizationResult.from_json(json.loads(text))).to_json()
+        assert result.report.to_json() == report
+        digest.update(text.encode())
+        digest.update(json.dumps(report).encode())
+    assert digest.hexdigest() == RANK_3_AND_4_OUTPUTS
 
 
 def test_encoding_leaves_no_state_behind():

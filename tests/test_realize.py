@@ -1,5 +1,6 @@
 """Blueprints, the gated graph, selectors, factor maps, the full pipeline."""
 
+import importlib
 import re
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ttrealize.core import Path, canonical_index_list, inverse, validate_graph
 from ttrealize.maps import transition_matrix, MapChain
 from ttrealize.traintrack import (
+    LegalizingCertificate,
     LongTurn,
     check_train_track_morphism,
     fixes_all_gates,
@@ -20,6 +22,7 @@ from ttrealize.realize import (
     CASE_MAX_ODD,
     CASE_ODD,
     InvalidIndexList,
+    LegalizingSearchError,
     RealizationResult,
     SelectorError,
     build_graph,
@@ -255,7 +258,7 @@ def test_max_odd_legalizer_on_single_circle():
     res = realize(3, (3,))
     assert res.blueprint.case == CASE_MAX_ODD
     rec = res.legalizers[0]
-    assert set(rec.turn.tokens()) == {"a1", "c1"}
+    assert rec.name == "legalize[a1,c1]"
     lt = LongTurn(Path("v1", ("a1", "c1")), Path("v1", ("c1", "c1")))
     image = long_turn_image(rec.map, lt)
     branches = {image.branch_a.edges, image.branch_b.edges}
@@ -276,7 +279,7 @@ def test_every_factor_is_train_track_and_fixes_gates(max_odd_instance):
                 assert e in word or inverse(e) in word, (rec.name, e)
 
 
-# -- the legalizing search -----------------------------------------------------------
+# -- the legalizing ladder ------------------------------------------------------------
 
 
 def test_even_case_certificate_small_branch_length(even_instance):
@@ -290,8 +293,41 @@ def test_legalizing_search_log_records_rounds(even_instance):
     r = even_instance
     g, cert, log = build_legalizing_map(r.graph, r.gates, r.blueprint, r.h, r.legalizers)
     assert g.factors == r.g.factors and cert.branch_length == r.legalizing_cert.branch_length
-    assert log
-    assert f"legalizing at C={cert.branch_length}" in log[-1]
+    assert log == [f"h∘L∘h legalizing at C={cert.branch_length}"]
+
+
+def planted_witness(monkeypatch, reason: str) -> list[int]:
+    """Make every legalizing check in realize fail with ``reason``; returns
+    the C of each check, in order."""
+    calls = []
+    image_turn = ("a1", "c1") if reason == "illegal image turn" else None
+
+    def failing(g, gates, C):
+        calls.append(C)
+        return LegalizingCertificate(C, 1, 1, "failed", (("a1",), ("c1",)), reason, image_turn)
+
+    monkeypatch.setattr(importlib.import_module("ttrealize.realize"), "verify_legalizing", failing)
+    return calls
+
+
+def test_an_illegal_image_turn_ends_the_legalizing_ladder(monkeypatch):
+    calls = planted_witness(monkeypatch, "illegal image turn")
+    with pytest.raises(LegalizingSearchError, match=r"h∘L∘h is not legalizing at C=1 \(cap 64\)"):
+        realize(3, (1,))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("entries", [(1,), (3,)])
+def test_the_legalizing_ladder_doubles_c_up_to_the_cap(monkeypatch, entries):
+    """C runs over l, 2l, ..., 64l = c_max (l the long-turn length: 1 in the
+    odd case, 2 in the rank 3 maximal odd one) while the witness is only
+    not g-long, and then the search gives up, naming the cap."""
+    bp = validate_and_classify(3, entries)
+    calls = planted_witness(monkeypatch, "not g-long")
+    with pytest.raises(LegalizingSearchError, match=f"cap {bp.c_max}"):
+        realize(3, entries)
+    assert calls == [bp.long_turn_length * 2**k for k in range(7)]
+    assert calls[-1] == bp.c_max
 
 
 # -- the full pipeline ----------------------------------------------------------------

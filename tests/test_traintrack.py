@@ -270,11 +270,7 @@ def test_long_turn_image_even_case(even_instance):
     gates = even_instance.gates
     graph = even_instance.graph
     sel = select_paths(graph, gates, even_instance.blueprint)
-    rec = next(
-        r
-        for r in even_instance.legalizers
-        if set(r.turn.tokens()) == {"a1", "c1"}
-    )
+    rec = next(r for r in even_instance.legalizers if r.name == "legalize[a1,c1]")
     extension, detour = sel["exit", "c1"], sel["detour", "c1"]
     lt = LongTurn(Path("v1", ("a1",)), Path("v1", ("c1",)))
     image = long_turn_image(rec.map, lt)
@@ -289,9 +285,7 @@ def test_long_turn_image_even_case(even_instance):
 
 
 def test_long_turn_image_loop_turn(odd_instance):
-    rec = next(
-        r for r in odd_instance.legalizers if set(r.turn.tokens()) == {"d", "~d"}
-    )
+    rec = next(r for r in odd_instance.legalizers if r.name == "legalize[d,~d]")
     lt = LongTurn(Path("v1", ("d",)), Path("v1", ("~d",)))
     image = long_turn_image(rec.map, lt)
     branches = {image.branch_a.edges, image.branch_b.edges}
@@ -338,9 +332,7 @@ def test_single_legalizer_handles_only_its_own_turn(even_instance):
     """Brute-force oracle: one legalizer factor fixes its turn at length 1,
     while some other illegal turn keeps an illegal image."""
     graph, gates = even_instance.graph, even_instance.gates
-    rec = next(
-        r for r in even_instance.legalizers if set(r.turn.tokens()) == {"a1", "a2"}
-    )
+    rec = next(r for r in even_instance.legalizers if r.name == "legalize[a1,a2]")
     own_ok = True
     other_illegal = False
     for lt in enumerate_long_turns(graph, gates, 1):
