@@ -3,14 +3,16 @@
 The full certificate route checks the structural hypotheses (positive
 transition matrix and connected gate-Whitehead graphs for the mixing map,
 a valid legalizing certificate for the second factor, vertices and gates
-fixed, the composed map made of exactly these factors, its graph's rank
-and gate index list the blueprint's); together these guarantee a fully
+fixed, every factor a homotopy equivalence (one Stallings fold each), the
+composed map made of exactly these factors, its graph's rank and gate
+index list the blueprint's); together these guarantee a fully
 irreducible automorphism whose stable index list is the requested one,
 with no periodic Nielsen paths.  That absence is a conclusion of the
 theorem, not a hypothesis, so a map certified this way runs no
-Nielsen-path search and its report reads ``not_needed``.  The bounded search runs only where
-the structural route fails: the conditional tier grades maps that only
-offer primitivity, Whitehead connectivity and a clean search, honest but
+Nielsen-path search and its report reads ``not_needed``.  The bounded
+search runs only where the structural route fails: the conditional tier
+grades maps whose factors are homotopy equivalences and that only offer
+primitivity, Whitehead connectivity and a clean search, honest but
 weaker.  Positivity and primitivity are read from sign patterns, never
 from exact matrix products.  A map with no construction behind it is
 graded through its intrinsic gates by one grader, which always runs the
@@ -28,13 +30,14 @@ from .core import (
     inverse,
     tighten_word,
 )
-from .maps import as_chain, is_positive_pattern, is_primitive
+from .maps import as_chain, is_homotopy_equivalence, is_positive_pattern, is_primitive
 from .traintrack import (
     NONE_FOUND,
     InpSearchResult,
     check_train_track_morphism,
     find_periodic_inps,
     fixes_all_gates,
+    gate_direction_map,
     gate_index_list,
     intrinsic_gate_structure,
     periodic_vertices,
@@ -84,25 +87,33 @@ def certify_realization(result) -> CertificationReport:
     """Grade a realization result; the full tier needs the structural route.
     The stored legalizing verdict is re-derived at the stored C, never
     trusted, and every distinct factor of ``final`` is checked to be a
-    train track morphism."""
+    train track morphism and a homotopy equivalence."""
     c = result.legalizing_cert.branch_length
     ok = c >= result.blueprint.long_turn_length and verify_legalizing(result.g, result.gates, c).ok
     final_tt = check_train_track_morphism(result.final, result.gates).ok
-    return _grade(result, ok, final_tt)
+    names = {id(rec.map): rec.name for rec in result.mixing_factors + result.legalizers}
+    distinct = {}
+    for i, f in enumerate(result.final.factors):
+        distinct.setdefault(id(f), (f, names.get(id(f), f"map_final[{i}]")))
+    not_equivalent = tuple(name for f, name in distinct.values() if not is_homotopy_equivalence(f))
+    return _grade(result, ok, final_tt, not_equivalent)
 
 
-def _grade(result, legalizing_ok: bool, final_tt: bool) -> CertificationReport:
-    """The grading, given whether ``g`` legalizes at the stored C and
-    whether ``final`` is a train track morphism for the gates."""
+def _grade(result, legalizing_ok: bool, final_tt: bool,
+           not_equivalent: tuple[str, ...]) -> CertificationReport:
+    """The grading, given whether ``g`` legalizes at the stored C, whether
+    ``final`` is a train track morphism for the gates, and the factors of
+    ``final`` that are not homotopy equivalences, which both the structural
+    route and the conditional tier exclude: they grade automorphisms."""
     graph, gates = result.graph, result.gates
     notes: list[str] = list(result.blueprint.notes)
     h, g, final = result.h, result.g, result.final
 
     h_matrix_positive = is_positive_pattern(h.sign_pattern)
-    h_whitehead = whitehead_graphs(h, gates)
-    h_wh_connected = all(w.is_connected() for w in h_whitehead.values())
+    h_wh_connected = all(_whitehead_connected(h, gates).values())
     if not legalizing_ok:
         notes.append(f"map_g is not legalizing at the stored C = {result.legalizing_cert.branch_length}")
+    notes += [f"factor {name} is not a homotopy equivalence" for name in not_equivalent]
     g_fixes = g.fixes_all_vertices() and fixes_all_gates(g, gates)
     # identity checks for decoded documents, whose equal factors are one instance
     composed = final.factors == g.factors + h.factors
@@ -119,11 +130,10 @@ def _grade(result, legalizing_ok: bool, final_tt: bool) -> CertificationReport:
     if not ranked:
         notes.append("the graph's rank is not the blueprint's")
     structural = (h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
-                  and composed and mixed and requested and ranked)
+                  and composed and mixed and requested and ranked and not not_equivalent)
 
     primitive, witness = is_primitive(final.sign_pattern)
-    final_whitehead = whitehead_graphs(final, gates)
-    wh_by_vertex = {v: w.is_connected() for v, w in final_whitehead.items()}
+    wh_by_vertex = _whitehead_connected(final, gates)
     full = structural and final_tt
     # no periodic Nielsen path is a conclusion of Theorem 6.2, not one of
     # its hypotheses: the bounded search runs only where the route fails
@@ -133,6 +143,7 @@ def _grade(result, legalizing_ok: bool, final_tt: bool) -> CertificationReport:
         level = FULL_THEOREM
     elif (
         final_tt
+        and not not_equivalent
         and primitive
         and all(wh_by_vertex.values())
         and inp.verdict == NONE_FOUND
@@ -162,6 +173,14 @@ def _grade(result, legalizing_ok: bool, final_tt: bool) -> CertificationReport:
         level=level,
         notes=tuple(notes),
     )
+
+
+def _whitehead_connected(f, gates) -> dict[str, bool]:
+    """Whether each vertex's gate-Whitehead graph is connected; a map that
+    moves a vertex or splits a gate has none, and fails at every vertex."""
+    if f.fixes_all_vertices() and gate_direction_map(f, gates) is not None:
+        return {v: w.is_connected() for v, w in whitehead_graphs(f, gates).items()}
+    return dict.fromkeys(f.graph.vertices, False)
 
 
 def _intrinsic_grade(f):

@@ -223,6 +223,66 @@ def compose_maps(f: GraphMap, g: GraphMap) -> GraphMap:
     return GraphMap(g.graph, images, vmap)
 
 
+def is_homotopy_equivalence(f: GraphMap) -> bool:
+    """Whether ``f`` fixes every vertex and is onto on pi_1, which makes it
+    a homotopy equivalence, free groups being Hopfian.
+
+    One Stallings fold: each moved edge's image is walked from the edge's
+    initial vertex through the graph without the moved edges, read from
+    its token tables, with a fresh vertex only where the walk leaves them,
+    and closed at the edge's terminal vertex; a union-find merges the ends
+    of equal edges at one vertex.  The folded graph immerses in the graph,
+    so ``f`` is onto exactly when no fresh vertex survives and every moved
+    edge is present, once by construction.
+    """
+    if not f.fixes_all_vertices():
+        return False
+    inits, terms, inverses, moved = f.graph.inits, f.graph.terms, f.graph.inverses, f.touched_tokens
+    vertices, parent, out, merges, fresh = set(f.graph.vertices), {}, {}, [], []
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    def target(x, t):  # the end of the edge t at the root x, if any
+        return terms[t] if x in vertices and t not in moved else out.get(x, {}).get(t)
+
+    def add(x, t, y):  # the edge t from the root x to y, folded there
+        z = target(x, t)
+        if z is None:
+            out.setdefault(x, {})[t] = y
+        elif find(z) != find(y):
+            merges.append((z, y))
+
+    for e in f.graph.positive_edges:
+        if e not in moved:
+            continue
+        word, x = f.image_edges(e), inits[e]
+        for t in word[:-1]:
+            x = find(x)
+            y = target(x, t)
+            if y is None:
+                y = object()  # equal to no vertex of any graph
+                fresh.append(y)
+                out.setdefault(x, {})[t] = y
+                out[y] = {inverses[t]: x}
+            x = y
+        x, t = find(x), word[-1]
+        add(x, t, terms[e])
+        add(terms[e], inverses[t], x)
+        while merges:
+            a, b = map(find, merges.pop())
+            if a != b:
+                # a is fresh: graph vertices, each over itself, never meet
+                a, b = (b, a) if a in vertices else (a, b)
+                parent[a] = b
+                for t, z in out.pop(a, {}).items():
+                    add(b, t, z)
+    return (all(find(x) in vertices for x in fresh)
+            and all(target(inits[t], t) is not None for t in moved))
+
+
 # -- transition matrices ---------------------------------------------------
 
 

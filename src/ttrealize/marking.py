@@ -3,6 +3,8 @@
 The marking identifies pi_1 of a graph with the free group on abstract
 generators ``x1..xN`` via a spanning tree; a graph self-map fixing the
 basepoint then induces an endomorphism, read off by collapsing the tree.
+This is reference code for the tests: ``certify`` and ``realize`` check
+invertibility with ``maps.is_homotopy_equivalence`` and never call it.
 """
 
 from __future__ import annotations

@@ -21,12 +21,11 @@ from .core import (
     Path,
     canonical_index_list,
     inverse,
-    inverse_word,
     is_legal_path,
     token_key,
     validate_graph,
 )
-from .maps import GraphMap, MapChain, is_positive_pattern
+from .maps import GraphMap, MapChain, is_homotopy_equivalence, is_positive_pattern
 from .traintrack import (
     LegalizingCertificate,
     Turn,
@@ -439,22 +438,18 @@ def verify_selectors(graph, gates, bp, sel: SelectedPaths) -> None:
 
 @dataclass(frozen=True)
 class FactorRecord:
-    """One elementary factor with its explicit homotopy inverse."""
+    """One elementary factor by name; certify checks that it is a homotopy
+    equivalence, and the decoder ignores older documents' ``inverse``."""
 
     name: str
     map: GraphMap
-    inverse: GraphMap
 
     def to_json(self, memo: dict | None = None) -> dict:
-        return {"name": self.name, "map": self.map.to_json(memo), "inverse": self.inverse.to_json(memo)}
+        return {"name": self.name, "map": self.map.to_json(memo)}
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "FactorRecord":
-        return cls(
-            data["name"],
-            GraphMap.from_json(graph, data["map"], memo),
-            GraphMap.from_json(graph, data["inverse"], memo),
-        )
+        return cls(data["name"], GraphMap.from_json(graph, data["map"], memo))
 
 
 def build_edge_link_map(graph, sel: SelectedPaths, e: str) -> FactorRecord:
@@ -462,29 +457,15 @@ def build_edge_link_map(graph, sel: SelectedPaths, e: str) -> FactorRecord:
     loop = sel["carrier", e]  # u e u', cut at its one crossing of e
     k = loop.index(e)
     u, up = loop[:k], loop[k + 1:]
-    fwd = GraphMap.from_updates(
-        graph,
-        {
-            "a1": loop + ("a1",),
-            e: (e,) + up + ("a1",) + u + (e,),
-        },
-    )
-    back = GraphMap.from_updates(
-        graph,
-        {
-            "a1": inverse_word(loop) + ("a1", "a1"),
-            e: inverse_word(u) + ("~a1",) + u + (e,),
-        },
-    )
-    return FactorRecord(f"link[{e}]", fwd, back)
+    images = {"a1": loop + ("a1",), e: (e,) + up + ("a1",) + u + (e,)}
+    return FactorRecord(f"link[{e}]", GraphMap.from_updates(graph, images))
 
 
 def build_turn_stamp_map(graph, sel: SelectedPaths, pair: tuple[int, int]) -> FactorRecord:
     """Stamps one gate turn into the anchor loop's image."""
     v = sel["witness", pair]
-    fwd = GraphMap.from_updates(graph, {"a1": v + ("a1",)})
-    back = GraphMap.from_updates(graph, {"a1": inverse_word(v) + ("a1",)})
-    return FactorRecord(f"stamp[{pair[0]},{pair[1]}]", fwd, back)
+    stamp = GraphMap.from_updates(graph, {"a1": v + ("a1",)})
+    return FactorRecord(f"stamp[{pair[0]},{pair[1]}]", stamp)
 
 
 def build_turn_legalizer(
@@ -504,88 +485,24 @@ def build_turn_legalizer(
         c_head = circle if k == 1 else circle[: k - 1]
         c_tail = () if k2 == 1 else circle[k2 - 1:]
         core = circle + c_head + ("b1",) + c_tail + ("a1",)
-        fwd = GraphMap.from_updates(
-            graph,
-            {
-                "a1": core,
-                "c1": core + ("c1",),
-                "b1": ("b1",) + c_tail + ("a1",) + c_head + ("b1",),
-            },
-        )
-        back = GraphMap.from_updates(
-            graph,
-            {
-                "a1": inverse_word(c_tail)
-                + ("~b1",)
-                + inverse_word(c_head)
-                + ("a1",)
-                + inverse_word(circle)
-                + ("a1", "a1")
-                + inverse_word(circle)
-                + ("a1", "a1"),
-                "c1": ("~a1", "c1"),
-                "b1": inverse_word(c_head)
-                + ("~a1",)
-                + circle
-                + ("~a1",)
-                + c_head
-                + ("b1",),
-            },
-        )
-        return FactorRecord(name, fwd, back)
-    if {a, b} == {"d", "~d"}:
-        fwd = GraphMap.from_updates(
-            graph,
-            {"a1": ("a1", "~d") + circle, "d": ("d", "a1", "~d")},
-        )
-        back = GraphMap.from_updates(
-            graph,
-            {
-                "a1": ("a1",) + inverse_word(circle) + ("d",) + circle + ("~a1",),
-                "d": ("d",) + circle + ("~a1",),
-            },
-        )
-        return FactorRecord(name, fwd, back)
-    gate1 = gates.gate_of("c1")
-    if gates.gate_of(a) == gate1:
+        images = {
+            "a1": core,
+            "c1": core + ("c1",),
+            "b1": ("b1",) + c_tail + ("a1",) + c_head + ("b1",),
+        }
+    elif {a, b} == {"d", "~d"}:
+        images = {"a1": ("a1", "~d") + circle, "d": ("d", "a1", "~d")}
+    elif gates.gate_of(a) == gates.gate_of("c1"):
         # within gate 1: components are a_i and e with e = c1 or a_j
         a_i, e = sorted(turn.tokens(), key=token_key)  # a-labels before c1
         extension, detour = sel["exit", e], sel["detour", e]
-        fwd = GraphMap.from_updates(
-            graph,
-            {a_i: (a_i, e) + extension, e: (a_i,) + detour + (a_i, e)},
-        )
-        back = GraphMap.from_updates(
-            graph,
-            {
-                a_i: (e,) + extension + (inverse(a_i),) + inverse_word(detour),
-                e: detour
-                + (a_i,)
-                + inverse_word(extension)
-                + (inverse(e), a_i)
-                + inverse_word(extension),
-            },
-        )
-        return FactorRecord(name, fwd, back)
-    # within gate 2: components are ~a_i and ~e with e = c_l or a_j
-    a_i, e = sorted((inverse(t) for t in turn.tokens()), key=token_key)
-    extension, ret = sel["entry", e], sel["return", e]
-    fwd = GraphMap.from_updates(
-        graph,
-        {a_i: extension + (e, a_i), e: (e, a_i) + ret + (a_i,)},
-    )
-    back = GraphMap.from_updates(
-        graph,
-        {
-            a_i: inverse_word(ret) + (inverse(a_i),) + extension + (e,),
-            e: inverse_word(extension)
-            + (a_i, inverse(e))
-            + inverse_word(extension)
-            + (a_i,)
-            + ret,
-        },
-    )
-    return FactorRecord(name, fwd, back)
+        images = {a_i: (a_i, e) + extension, e: (a_i,) + detour + (a_i, e)}
+    else:
+        # within gate 2: components are ~a_i and ~e with e = c_l or a_j
+        a_i, e = sorted((inverse(t) for t in turn.tokens()), key=token_key)
+        extension, ret = sel["entry", e], sel["return", e]
+        images = {a_i: extension + (e, a_i), e: (e, a_i) + ret + (a_i,)}
+    return FactorRecord(name, GraphMap.from_updates(graph, images))
 
 
 def build_mixing_factors(graph, gates, bp, sel) -> list[FactorRecord]:
@@ -755,8 +672,9 @@ def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
         diag = check_train_track_morphism(rec.map, gates)
         if not diag.ok:
             raise SelectorError(f"factor {rec.name} is not a train track morphism: {diag}")
-        if not rec.map.fixes_all_vertices() or not fixes_all_gates(rec.map, gates):
-            raise SelectorError(f"factor {rec.name} moves a vertex or a gate")
+        # the fold also requires every vertex fixed
+        if not fixes_all_gates(rec.map, gates) or not is_homotopy_equivalence(rec.map):
+            raise SelectorError(f"factor {rec.name} moves a vertex or a gate, or is not onto on pi_1")
     h = build_mixing_map(graph, mixing)
     if not is_positive_pattern(h.sign_pattern):
         raise SelectorError("mixing map transition matrix is not positive")
@@ -779,5 +697,5 @@ def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
 
     # build_legalizing_map has just verified g at C, and every factor of
     # final is one of the records checked above: neither is checked again
-    result.report = _certify._grade(result, cert.ok, True)
+    result.report = _certify._grade(result, cert.ok, True, ())
     return result

@@ -10,6 +10,7 @@ import pytest
 
 from ttrealize.cli import main
 from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix, _ChainTable
+from ttrealize.marking import build_marking, pi1_automorphism
 from ttrealize.realize import RealizationResult, enumerate_admissible, realize
 from ttrealize.traintrack import find_periodic_inps
 from ttrealize.certify import (
@@ -157,12 +158,27 @@ def test_report_json_shape(even_instance):
     assert inp.period_bound == 8 and inp.length_bound == 200
 
 
-@pytest.mark.parametrize("tamper", ["map_final", "map_g", "legalizing", "rank"])
+def with_factor_image(doc: dict, name: str, edge: str, word: list) -> dict:
+    """The keys of ``doc`` that change when the record ``name`` sends
+    ``edge`` to ``word`` in every copy: the record and each equal factor
+    of the three chains.  ``doc`` itself is left as it was."""
+    old = next(r["map"] for r in doc["mixing_factors"] + doc["legalizers"] if r["name"] == name)
+    new = {"images": {**old["images"], edge: word}}
+    edits = {
+        key: [{**r, "map": new} if r["map"] == old else r for r in doc[key]]
+        for key in ("mixing_factors", "legalizers")
+    }
+    for key in ("map_h", "map_g", "map_final"):
+        edits[key] = {"factors": [new if f == old else f for f in doc[key]["factors"]]}
+    return edits
+
+
+@pytest.mark.parametrize("tamper", ["map_final", "map_g", "legalizing", "rank", "stamp", "gate_map"])
 def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
     """A document whose composed map is not g followed by h, whose g does
-    not legalize at the stored C, or whose blueprint names another rank
-    than its graph's, does not get the full certificate, whatever its
-    stored legalizing verdict says."""
+    not legalize at the stored C, whose blueprint names another rank than
+    its graph's, or one of whose factors is not onto on pi_1, does not get
+    the full certificate, whatever its stored legalizing verdict says."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
     h = doc["map_h"]
     edits, note = {
@@ -175,6 +191,17 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
         ),
         # the same odd case at rank 4, so only the rank itself differs
         "rank": ({"blueprint": {**doc["blueprint"], "rank": 4}}, "the graph's rank is not the blueprint's"),
+        # a1 -> c1 c1 a1 a1 is a train track morphism, but its image misses a1
+        "stamp": (
+            with_factor_image(doc, "stamp[0,1]", "a1", ["c1", "c1", "a1", "a1"]),
+            "factor stamp[0,1] is not a homotopy equivalence",
+        ),
+        # c1 -> c1 a1 d sends ~c1 to ~d, and ~a1 to itself: h splits
+        # the gate of the two, so it has no gate map and no Whitehead graphs
+        "gate_map": (
+            with_factor_image(doc, "link[c1]", "c1", ["c1", "a1", "d"]),
+            "mixing Whitehead graph disconnected somewhere",
+        ),
     }[tamper]
     doc.update(edits)
     report = certify_realization(RealizationResult.from_json(doc))
@@ -224,12 +251,18 @@ def test_documents_in_the_older_format_decode_and_certify():
     again = decoded.to_json()
     assert not IGNORED_KEYS & set(again)
     assert set(again["blueprint"]) == {"rank", "entries_doubled"}
+    # the older records also stored an inverse, which is not read either
+    for key in ("mixing_factors", "legalizers"):
+        assert all(set(r) == {"name", "map", "inverse"} for r in doc[key])
+        assert all(set(r) == {"name", "map"} for r in again[key])
 
 
 def test_the_document_stores_only_what_the_decoder_reads():
-    """Each stored key but the report is read: without it the decoder raises."""
+    """Each stored key but the report, and each key of a factor record, is
+    read: without it the decoder raises."""
     doc = realize(3, (1,)).to_json()
     paths = [(k,) for k in doc if k != "report"] + [("blueprint", k) for k in doc["blueprint"]]
+    paths += [(key, 0, k) for key in ("mixing_factors", "legalizers") for k in doc[key][0]]
     unread = []
     for *parents, key in paths:
         broken = json.loads(json.dumps(doc))
@@ -241,7 +274,7 @@ def test_the_document_stores_only_what_the_decoder_reads():
             RealizationResult.from_json(broken)
         except KeyError:
             continue
-        unread.append("/".join(parents + [key]))
+        unread.append("/".join(map(str, parents + [key])))
     assert unread == []
 
 
@@ -380,13 +413,14 @@ def test_realize_verifies_its_legalizing_map_once(monkeypatch):
 # SHA-256 of json.dumps of each rank 3-4 document and then its certify
 # report, in enumeration order.  A change that alters outputs on purpose
 # updates it and says why.
-RANK_3_AND_4_OUTPUTS = "5723097fb347a8eff61cf7c4ed12e795e27ce766e2ce4c095a3b9aaf5cd0d7d6"
+RANK_3_AND_4_OUTPUTS = "6bfddcca8b507e3d3a019ef70a9340d9ac1eb8fd38506593c8a5b2c62fe85e8e"
 
 
 def test_realize_grades_as_certify_does_on_every_rank_3_and_4_list():
-    """realize grades with the legalizing and train track verdicts it has
-    just derived; certify re-derives both from the document alone, and the
-    two reports agree.  The documents and reports are the pinned ones."""
+    """realize grades with the legalizing, train track and homotopy
+    equivalence verdicts it has just derived; certify re-derives all three
+    from the document alone, and the two reports agree.  The documents and
+    reports are the pinned ones."""
     lists = [(rank, lst) for rank in (3, 4) for lst in enumerate_admissible(rank)]
     assert len(lists) == 24
     digest = hashlib.sha256()
@@ -414,3 +448,84 @@ def test_encoding_leaves_no_state_behind():
     again = result.to_json()
     assert json.dumps(again) == text
     assert again == json.loads(text)
+
+
+def onto_by_bouquet_fold(words: dict) -> bool:
+    """Whether ``words`` (generator -> reduced word) generate the free group
+    on their keys: fold the loops they spell on one vertex, Stallings'
+    way, and ask for the rose with every generator."""
+    edges, fresh = [], 1
+    for word in words.values():
+        x = 0
+        for k, t in enumerate(word):
+            y = 0 if k == len(word) - 1 else fresh
+            fresh += y != 0
+            edges += [(x, t, y), (y, _inv(t), x)]
+            x = y
+    parent = list(range(fresh))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    merged = True
+    while merged:
+        merged, out = False, {}
+        for x, t, y in edges:
+            z = out.setdefault((find(x), t), find(y))
+            if find(z) != find(y):
+                parent[find(y)] = find(z)
+                merged = True
+    root = find(0)
+    return all(find(x) == root for x in range(fresh)) and all((root, g) in out for g in words)
+
+
+def one_letter_edits(word: list, tokens) -> list:
+    """The distinct words one insertion, deletion or substitution away."""
+    edits = [word[:k] + [t] + word[k:] for k in range(len(word) + 1) for t in tokens]
+    edits += [word[:k] + word[k + 1:] for k in range(len(word))]
+    edits += [word[:k] + [t] + word[k + 1:] for k in range(len(word)) for t in tokens if t != word[k]]
+    return [list(w) for w in dict.fromkeys(map(tuple, edits))]
+
+
+@pytest.mark.parametrize("entries", [(1,), (1, 1), (2, 1)], ids=["odd", "even", "max_odd"])
+def test_one_letter_edits_of_a_factor_keep_the_full_tier_only_when_onto(entries):
+    """Each one-letter edit of a moved image of a record, made in every copy,
+    is rejected by the decoder, graded below the full tier, or graded full
+    with every factor of final onto on pi_1 by an oracle of its own: the
+    marking's induced endomorphism, folded on a bouquet.  Certify never
+    raises."""
+    doc = json.loads(json.dumps(realize(3, entries).to_json()))
+    tokens = RealizationResult.from_json(doc).graph.directed_edges
+    oracle: dict = {}
+    outcomes = {"decoder raises": 0, "below full": 0, "full": 0}
+    survivors, raised = [], []
+    for record in doc["mixing_factors"] + doc["legalizers"]:
+        for edge, word in record["map"]["images"].items():
+            if word == [edge]:
+                continue
+            for edited in one_letter_edits(word, tokens):
+                mutant = {**doc, **with_factor_image(doc, record["name"], edge, edited)}
+                try:
+                    decoded = RealizationResult.from_json(mutant)
+                except ValueError:
+                    outcomes["decoder raises"] += 1
+                    continue
+                try:
+                    level = certify_realization(decoded).level
+                except MapError as exc:
+                    raised.append((record["name"], edge, edited, str(exc)))
+                    continue
+                if level != FULL_THEOREM:
+                    outcomes["below full"] += 1
+                    continue
+                outcomes["full"] += 1
+                for f in set(decoded.final.factors):
+                    if f not in oracle:
+                        oracle[f] = onto_by_bouquet_fold(pi1_automorphism(f, build_marking(f.graph)))
+                    if not oracle[f]:
+                        survivors.append((record["name"], edge, edited))
+    assert (len(survivors), len(raised)) == (0, 0), (survivors, raised)
+    # the subset reaches both sides of the full tier
+    assert outcomes["below full"] and outcomes["full"], outcomes

@@ -13,6 +13,7 @@ from ttrealize.maps import (
     MapError,
     compare_image_words,
     compose_maps,
+    is_homotopy_equivalence,
     is_primitive,
     transition_matrix,
     word_image_window,
@@ -60,6 +61,41 @@ def test_reversed_image_is_reversed(rose2):
     f = fib_map(rose2)
     assert f.image_edges("~a") == ("~b", "~a")
     assert f.image_edges("~b") == ("~a",)
+
+
+def _onto(graph, **images):
+    updates = {e: tuple(word.split()) for e, word in images.items()}
+    return is_homotopy_equivalence(GraphMap.from_updates(graph, updates))
+
+
+def test_fold_decides_ontoness_on_a_rose(rose2):
+    assert _onto(rose2, a="a b")
+    assert _onto(rose2, a="b ~a ~b")
+    assert not _onto(rose2, a="a a")
+    assert not _onto(rose2, a="b")
+    assert not _onto(rose2, a="b a b ~a")
+    # each image crosses both edges, yet the image misses a
+    assert not _onto(rose2, a="a b", b="b a")
+    assert _onto(rose2)
+    # an unreduced image folds back onto the rose
+    assert _onto(rose2, a="a b ~b")
+
+
+@pytest.mark.parametrize("u, v", [("u", "v"), (0, 1)])
+def test_fold_decides_ontoness_across_a_bridge(u, v):
+    """a at u, b at v, e from u to v.  e -> e b ~e a e has a unimodular
+    abelianization but is not onto, so no crossing count can decide.  A
+    document may name vertices by integers, which the fold's own vertices
+    must not meet."""
+    bridge = Graph([u, v], [("a", u, u), ("b", v, v), ("e", u, v)])
+    assert _onto(bridge, e="a e b")
+    assert not _onto(bridge, e="e b ~e a e")
+
+
+def test_fold_rejects_a_map_that_moves_a_vertex():
+    theta = Graph(["u", "v"], [("p", "u", "v"), ("q", "u", "v"), ("r", "u", "v")])
+    swap = GraphMap(theta, {"p": ("~p",), "q": ("~q",), "r": ("~r",)}, {"u": "v", "v": "u"})
+    assert not is_homotopy_equivalence(swap)
 
 
 def test_is_primitive_examples():

@@ -1,11 +1,13 @@
 """Fundamental-group markings and induced endomorphisms."""
 
+import json
+import pathlib
 import random
 
 import pytest
 
 from ttrealize.core import Graph, tighten_word
-from ttrealize.maps import GraphMap, compose_maps
+from ttrealize.maps import GraphMap, compose_maps, is_homotopy_equivalence
 from ttrealize.marking import (
     MarkingError,
     build_marking,
@@ -66,16 +68,40 @@ def test_homotopy_equivalence_turn_stamp_style(even_instance):
     assert not verify_homotopy_equivalence(fwd, wrong, marking)
 
 
-def test_homotopy_equivalence_loop_turn_legalizer(odd_instance):
-    """The d-loop legalizer against its listed inverse."""
-    rec = next(r for r in odd_instance.legalizers if r.name == "legalize[d,~d]")
-    assert verify_homotopy_equivalence(rec.map, rec.inverse, build_marking(odd_instance.graph))
+# The version-1 rank 3 [1/2] document still stores, next to each factor
+# record, the inverse that the builders wrote before certify checked the
+# factors by a fold.
+V1_DOCUMENT = pathlib.Path(__file__).parent / "data" / "realization_r3_half_v1.json"
+
+
+def v1_records():
+    """The version-1 graph and its records as (name, map, stored inverse)."""
+    doc = json.loads(V1_DOCUMENT.read_text())
+    graph = Graph.from_json(doc["graph"])
+    records = [
+        (r["name"], GraphMap.from_json(graph, r["map"]), GraphMap.from_json(graph, r["inverse"]))
+        for r in doc["mixing_factors"] + doc["legalizers"]
+    ]
+    return graph, records
+
+
+def test_homotopy_equivalence_loop_turn_legalizer():
+    """The d-loop legalizer against its listed inverse, and onto by the fold."""
+    graph, records = v1_records()
+    _, fwd, back = next(r for r in records if r[0] == "legalize[d,~d]")
+    assert verify_homotopy_equivalence(fwd, back, build_marking(graph))
+    assert is_homotopy_equivalence(fwd)
 
 
 def test_all_factor_inverses_on_small_instance(odd_instance):
-    marking = build_marking(odd_instance.graph)
-    for rec in odd_instance.mixing_factors + odd_instance.legalizers:
-        assert verify_homotopy_equivalence(rec.map, rec.inverse, marking), rec.name
+    graph, records = v1_records()
+    marking = build_marking(graph)
+    for name, fwd, back in records:
+        assert verify_homotopy_equivalence(fwd, back, marking), name
+        assert is_homotopy_equivalence(fwd), name
+    # the listed maps are the ones realize builds today
+    built = odd_instance.mixing_factors + odd_instance.legalizers
+    assert [(r.name, r.map) for r in built] == [(name, fwd) for name, fwd, _ in records]
 
 
 def test_pi1_respects_composition(rose2):
