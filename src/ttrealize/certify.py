@@ -1,23 +1,27 @@
 """Certification of realized maps and grading of arbitrary train track maps.
 
-The full certificate route checks the structural hypotheses (positive
-transition matrix and connected gate-Whitehead graphs for the mixing map,
-a valid legalizing certificate for the second factor, vertices and gates
-fixed, every factor a homotopy equivalence (one Stallings fold each), the
-composed map made of exactly these factors, its graph's rank and gate
-index list the blueprint's); together these guarantee a fully
+A realization's ``h``, ``g`` and ``final`` are built from its records in
+one shape (``realize.realization_chains``), so ``final`` is ``g``
+followed by ``h`` by construction.  The full certificate route checks
+the structural hypotheses (positive transition matrix and connected
+gate-Whitehead graphs for the mixing map, a valid legalizing certificate
+for the second factor, vertices and gates fixed, every record map a
+homotopy equivalence (one Stallings fold each), its graph's rank and
+gate index list the blueprint's); together these guarantee a fully
 irreducible automorphism whose stable index list is the requested one,
 with no periodic Nielsen paths.  That absence is a conclusion of the
 theorem, not a hypothesis, so a map certified this way runs no
 Nielsen-path search and its report reads ``not_needed``.  The bounded
-search runs only where the structural route fails: the conditional tier
-grades maps whose factors are homotopy equivalences and that only offer
-primitivity, Whitehead connectivity and a clean search, honest but
-weaker.  Positivity and primitivity are read from sign patterns, never
-from exact matrix products.  A map with no construction behind it is
-graded through its intrinsic gates by one grader, which always runs the
-search and which ``stable_index_list`` and the experiment's
-``grade_sample`` share.
+search runs only where the structural route fails and the conditional
+tier is still open: that tier grades maps whose factors are homotopy
+equivalences and that only offer a train track composite, primitivity,
+Whitehead connectivity and a clean search, honest but weaker.  Where one
+of those already fails, the search could not change the grade, and the
+report reads ``not_needed`` too.  Positivity and primitivity are read
+from sign patterns, never from exact matrix products.  A map with no
+construction behind it is graded through its intrinsic gates by one
+grader, which always runs the search and which ``stable_index_list`` and
+the experiment's ``grade_sample`` share.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class CertificationReport:
     primitivity_witness: int | None
     whitehead_connected: dict[str, bool]
     legalizing_ok: bool | None
-    inp: InpSearchResult | None  # None: the structural route made the search unnecessary
+    inp: InpSearchResult | None  # None: no verdict of the search could change the grade
     index_list: tuple[int, ...]
     level: str
     notes: tuple[str, ...] = ()
@@ -86,25 +90,27 @@ class CertificationReport:
 def certify_realization(result) -> CertificationReport:
     """Grade a realization result; the full tier needs the structural route.
     The stored legalizing verdict is re-derived at the stored C, never
-    trusted, and every distinct factor of ``final`` is checked to be a
-    train track morphism and a homotopy equivalence."""
+    trusted, ``final`` is checked to be a train track morphism, and each
+    distinct record map is folded once to check that it is a homotopy
+    equivalence."""
     c = result.legalizing_cert.branch_length
     ok = c >= result.blueprint.long_turn_length and verify_legalizing(result.g, result.gates, c).ok
     final_tt = check_train_track_morphism(result.final, result.gates).ok
-    names = {id(rec.map): rec.name for rec in result.mixing_factors + result.legalizers}
-    distinct = {}
-    for i, f in enumerate(result.final.factors):
-        distinct.setdefault(id(f), (f, names.get(id(f), f"map_final[{i}]")))
-    not_equivalent = tuple(name for f, name in distinct.values() if not is_homotopy_equivalence(f))
+    records = result.mixing_factors + result.legalizers
+    maps = {id(rec.map): rec.map for rec in records}
+    onto = {key: is_homotopy_equivalence(f) for key, f in maps.items()}
+    not_equivalent = tuple(rec.name for rec in records if not onto[id(rec.map)])
     return _grade(result, ok, final_tt, not_equivalent)
 
 
 def _grade(result, legalizing_ok: bool, final_tt: bool,
            not_equivalent: tuple[str, ...]) -> CertificationReport:
     """The grading, given whether ``g`` legalizes at the stored C, whether
-    ``final`` is a train track morphism for the gates, and the factors of
-    ``final`` that are not homotopy equivalences, which both the structural
-    route and the conditional tier exclude: they grade automorphisms."""
+    ``final`` is a train track morphism for the gates, and the records
+    whose maps are not homotopy equivalences, which both the structural
+    route and the conditional tier exclude: they grade automorphisms.
+    ``final`` is ``g`` followed by ``h`` and ``h`` the mixing records run
+    twice by construction (``realize.realization_chains``)."""
     graph, gates = result.graph, result.gates
     notes: list[str] = list(result.blueprint.notes)
     h, g, final = result.h, result.g, result.final
@@ -115,13 +121,6 @@ def _grade(result, legalizing_ok: bool, final_tt: bool,
         notes.append(f"map_g is not legalizing at the stored C = {result.legalizing_cert.branch_length}")
     notes += [f"factor {name} is not a homotopy equivalence" for name in not_equivalent]
     g_fixes = g.fixes_all_vertices() and fixes_all_gates(g, gates)
-    # identity checks for decoded documents, whose equal factors are one instance
-    composed = final.factors == g.factors + h.factors
-    if not composed:
-        notes.append("map_final is not map_g followed by map_h")
-    mixed = h.factors == tuple(rec.map for rec in result.mixing_factors) * 2
-    if not mixed:
-        notes.append("map_h is not the mixing factors applied twice")
     index_list = gate_index_list(graph, gates, sorted(periodic_vertices(final)))
     requested = index_list == result.blueprint.index_list
     if not requested:
@@ -130,24 +129,20 @@ def _grade(result, legalizing_ok: bool, final_tt: bool,
     if not ranked:
         notes.append("the graph's rank is not the blueprint's")
     structural = (h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
-                  and composed and mixed and requested and ranked and not not_equivalent)
+                  and requested and ranked and not not_equivalent)
 
     primitive, witness = is_primitive(final.sign_pattern)
     wh_by_vertex = _whitehead_connected(final, gates)
     full = structural and final_tt
     # no periodic Nielsen path is a conclusion of Theorem 6.2, not one of
     # its hypotheses: the bounded search runs only where the route fails
-    inp = None if full else find_periodic_inps(final, gates)
+    # and the conditional tier, which needs it, is still open
+    open_conditional = final_tt and not not_equivalent and primitive and all(wh_by_vertex.values())
+    inp = find_periodic_inps(final, gates) if open_conditional and not full else None
 
     if full:
         level = FULL_THEOREM
-    elif (
-        final_tt
-        and not not_equivalent
-        and primitive
-        and all(wh_by_vertex.values())
-        and inp.verdict == NONE_FOUND
-    ):
+    elif inp is not None and inp.verdict == NONE_FOUND:
         level = CONDITIONAL
         notes.append("structural route unavailable; graded from bounded evidence")
     else:

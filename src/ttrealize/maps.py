@@ -697,13 +697,6 @@ class MapChain:
         }
         return GraphMap(self.graph, images, dict(self.vertex_image))
 
-    def to_json(self, memo: dict | None = None) -> dict:
-        return {"factors": [f.to_json(memo) for f in self.factors]}
-
-    @classmethod
-    def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "MapChain":
-        return cls(graph, [GraphMap.from_json(graph, d, memo) for d in data["factors"]])
-
     def __repr__(self) -> str:
         return f"MapChain({len(self.factors)} factors)"
 

@@ -2,17 +2,22 @@
 
 Validates an index list, builds the gated circle-with-loops graph whose
 gate counts realize it, selects the legal carrier/witness/split paths
-(one dict keyed by clause kind and key), assembles the positively-mixing
-map h and the turn legalizers L, certifies g = h∘L∘h legalizing at the
-least C of a doubling ladder, and returns h∘g with its certificate
-bundle.  The document stores only what the decoder reads: the selected
-paths live on in the factors built from them.
+(one dict keyed by clause kind and key), and builds the two record
+lists: the mixing factors H and the turn legalizers L.  A realization is
+its records: ``realization_chains`` builds the one shape h = H∘H,
+g = h∘L∘h and final = g∘h from them, and ``stored_chains`` spells that
+shape in the document.  ``realize`` certifies g legalizing at the least
+C of a doubling ladder and returns h∘g with its certificate bundle.  The
+document stores only what the decoder reads: the selected paths live on
+in the factors built from them.  The decoder rejects a document whose
+stored chains are not the ones its records make.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import (
@@ -519,11 +524,6 @@ def build_mixing_factors(graph, gates, bp, sel) -> list[FactorRecord]:
     return records
 
 
-def build_mixing_map(graph, factors: list[FactorRecord]) -> MapChain:
-    """h = h'∘h' where h' composes all link and stamp factors: one block, run twice."""
-    return MapChain(graph, [rec.map for rec in factors]).power(2)
-
-
 def build_turn_legalizers(graph, gates, bp, sel) -> list[FactorRecord]:
     return [
         build_turn_legalizer(graph, gates, bp, sel, turn)
@@ -531,27 +531,41 @@ def build_turn_legalizers(graph, gates, bp, sel) -> list[FactorRecord]:
     ]
 
 
+def realization_chains(
+    graph: Graph, mixing: list[FactorRecord], legalizers: list[FactorRecord]
+) -> tuple[MapChain, MapChain, MapChain]:
+    """The one shape of a realization: h = H∘H, g = h∘L∘h and final = g∘h,
+    H the mixing records' maps and L the legalizers', each one block.  g and
+    final read h's tables, so each distinct block builds one table."""
+    h = MapChain(graph, [rec.map for rec in mixing]).power(2)
+    g = h.then(MapChain(graph, [rec.map for rec in legalizers])).then(h)
+    return h, g, g.then(h)
+
+
+def stored_chains(mixing: list[dict], legalizers: list[dict]) -> dict:
+    """``map_h``, ``map_g`` and ``map_final`` as a document stores them,
+    from its two lists of encoded records: the factor lists of
+    ``realization_chains``, spelled by the records' own map dicts."""
+    h = [r["map"] for r in mixing] * 2
+    g = h + [r["map"] for r in legalizers] + h
+    return {"map_h": {"factors": h}, "map_g": {"factors": g}, "map_final": {"factors": g + h}}
+
+
 def build_legalizing_map(
-    graph,
-    gates,
-    bp: RealizationBlueprint,
-    h: MapChain,
-    legalizers: list[FactorRecord],
+    gates, bp: RealizationBlueprint, g: MapChain
 ) -> tuple[MapChain, LegalizingCertificate, list[str]]:
-    """g = h∘L∘h, L the turn legalizers as one block, certified legalizing.
+    """Certify the legalizing map g = h∘L∘h on a doubling ladder of C.
 
     Checks C = long_turn_length, 2C, 4C, ... up to ``bp.c_max`` while the
     witness is only not g-long, and returns g with the certificate at the
     first C that passes and a one-entry log.  Any other failure, or
-    reaching the cap, raises ``LegalizingSearchError``.  g shares the
-    tables of ``h``.
+    reaching the cap, raises ``LegalizingSearchError``.
     """
-    chain = h.then(MapChain(graph, [rec.map for rec in legalizers])).then(h)
     C = bp.long_turn_length
     while True:
-        cert = verify_legalizing(chain, gates, C)
+        cert = verify_legalizing(g, gates, C)
         if cert.ok:
-            return chain, cert, [f"h∘L∘h legalizing at C={C}"]
+            return g, cert, [f"h∘L∘h legalizing at C={C}"]
         if cert.witness_reason != "not g-long" or 2 * C > bp.c_max:
             raise LegalizingSearchError(
                 f"h∘L∘h is not legalizing at C={C} (cap {bp.c_max}): {cert.to_json()}"
@@ -562,36 +576,50 @@ def build_legalizing_map(
 # -- the full pipeline -----------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """An integer as JSON writes one: ``true`` and ``1.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RealizationResult:
+    """A realization is its records: ``h``, ``g`` and ``final`` are views
+    over one ``realization_chains`` call on them."""
+
     blueprint: RealizationBlueprint
     graph: Graph
     gates: GateStructure
     mixing_factors: list[FactorRecord]
     legalizers: list[FactorRecord]
-    h: MapChain
-    g: MapChain
-    final: MapChain
-    legalizing_cert: LegalizingCertificate
+    legalizing_cert: LegalizingCertificate | None = None
     report: "object | None" = None
+
+    @cached_property
+    def _chains(self) -> tuple[MapChain, MapChain, MapChain]:
+        return realization_chains(self.graph, self.mixing_factors, self.legalizers)
+
+    h = cached_property(lambda self: self._chains[0])
+    g = cached_property(lambda self: self._chains[1])
+    final = cached_property(lambda self: self._chains[2])
 
     def to_json(self) -> dict:
         """The document: only what ``from_json`` reads, plus the report,
         which ``certify`` recomputes and never reads back.  The blueprint is
         its rank and doubled entries, from which the decoder re-derives the
         rest.  Each factor instance is encoded once per call: a factor that
-        recurs (in the records, ``h``, ``g`` and ``final``) is one shared
-        dict within a single document, and no two calls share any object."""
+        recurs (in the records, ``map_h``, ``map_g`` and ``map_final``) is one
+        shared dict within a single document, and no two calls share any
+        object."""
         memo: dict = {}
+        mixing = [r.to_json(memo) for r in self.mixing_factors]
+        legalizers = [r.to_json(memo) for r in self.legalizers]
         data = {
             "blueprint": {"rank": self.blueprint.rank, "entries_doubled": list(self.blueprint.entries)},
             "graph": self.graph.to_json(),
             "gates": self.gates.to_json(),
-            "mixing_factors": [r.to_json(memo) for r in self.mixing_factors],
-            "legalizers": [r.to_json(memo) for r in self.legalizers],
-            "map_h": self.h.to_json(memo),
-            "map_g": self.g.to_json(memo),
-            "map_final": self.final.to_json(memo),
+            "mixing_factors": mixing,
+            "legalizers": legalizers,
+            **stored_chains(mixing, legalizers),
             "legalizing": self.legalizing_cert.to_json(),
         }
         if self.report is not None:
@@ -600,19 +628,32 @@ class RealizationResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "RealizationResult":
+        """Decode a document.  Its rank, doubled entries and C must be
+        integers, its record lists nonempty and its stored chains the ones
+        its records make; otherwise it raises ``ValueError``."""
         bp_data = data["blueprint"]
-        bp = validate_and_classify(bp_data["rank"], bp_data["entries_doubled"])
+        rank, entries = bp_data["rank"], bp_data["entries_doubled"]
+        if not (isinstance(entries, list) and all(map(_is_integer, [rank, *entries]))):
+            raise ValueError(
+                f"blueprint rank must be an integer and entries_doubled a list of them,"
+                f" got {rank!r} and {entries!r}"
+            )
+        bp = validate_and_classify(rank, entries)
         graph = Graph.from_json(data["graph"])
         gates = GateStructure.from_json(graph, data["gates"])
+        for key in ("mixing_factors", "legalizers"):
+            if not data[key]:
+                raise ValueError(f"{key} is empty")
         # one decode, and one validation, per distinct factor
         memo: dict = {}
         mixing = [FactorRecord.from_json(graph, r, memo) for r in data["mixing_factors"]]
         legalizers = [FactorRecord.from_json(graph, r, memo) for r in data["legalizers"]]
-
-        h, g, final = _decoded_chains(graph, data, mixing, legalizers, memo)
+        for key, chain in stored_chains(data["mixing_factors"], data["legalizers"]).items():
+            if data[key]["factors"] != chain["factors"]:
+                raise ValueError(f"{key} is not the chain its records make")
         cert_data = data["legalizing"]
-        if not isinstance(cert_data["C"], int):
-            raise TypeError(f"legalizing C must be an integer, got {cert_data['C']!r}")
+        if not _is_integer(cert_data["C"]):
+            raise ValueError(f"legalizing C must be an integer, got {cert_data['C']!r}")
         if cert_data["C"] > bp.c_max:
             raise ValueError(f"legalizing C = {cert_data['C']} exceeds its cap {bp.c_max}")
         cert = LegalizingCertificate(
@@ -621,40 +662,7 @@ class RealizationResult:
             families=cert_data["families"],
             verdict=cert_data["verdict"],
         )
-        return cls(
-            blueprint=bp,
-            graph=graph,
-            gates=gates,
-            mixing_factors=mixing,
-            legalizers=legalizers,
-            h=h,
-            g=g,
-            final=final,
-            legalizing_cert=cert,
-        )
-
-
-def _decoded_chains(graph: Graph, data: dict, mixing, legalizers, memo: dict):
-    """``map_h``, ``map_g`` and ``map_final``, decoded.
-
-    A stored list equal to its expected dict list (h = H∘H, g = h∘L∘h,
-    final = g∘h, H the mixing records and L the legalizers) is the shared
-    chain of that shape, built from the records' maps, so its factors are
-    not decoded again.  Any other list is decoded as one block.  Either
-    way the chain's factors equal the decoded list.
-    """
-    stored = [data[key]["factors"] for key in ("map_h", "map_g", "map_final")]
-    if not (mixing and legalizers):
-        return [MapChain.from_json(graph, {"factors": s}, memo) for s in stored]
-    h_dicts = [r["map"] for r in data["mixing_factors"]] * 2
-    g_dicts = h_dicts + [r["map"] for r in data["legalizers"]] + h_dicts
-    h = build_mixing_map(graph, mixing)
-    g = h.then(MapChain(graph, [r.map for r in legalizers])).then(h)
-    shapes = ((h, h_dicts), (g, g_dicts), (g.then(h), g_dicts + h_dicts))
-    return [
-        chain if s == dicts else MapChain.from_json(graph, {"factors": s}, memo)
-        for s, (chain, dicts) in zip(stored, shapes)
-    ]
+        return cls(bp, graph, gates, mixing, legalizers, cert)
 
 
 def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
@@ -675,27 +683,15 @@ def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
         # the fold also requires every vertex fixed
         if not fixes_all_gates(rec.map, gates) or not is_homotopy_equivalence(rec.map):
             raise SelectorError(f"factor {rec.name} moves a vertex or a gate, or is not onto on pi_1")
-    h = build_mixing_map(graph, mixing)
-    if not is_positive_pattern(h.sign_pattern):
+    result = RealizationResult(bp, graph, gates, mixing, legalizers)
+    if not is_positive_pattern(result.h.sign_pattern):
         raise SelectorError("mixing map transition matrix is not positive")
-    if any(h.image_length(e) < 2 for e in graph.positive_edges):
+    if any(result.h.image_length(e) < 2 for e in graph.positive_edges):
         raise SelectorError("mixing map fails the length-2 expansion requirement")
-    g, cert, _ = build_legalizing_map(graph, gates, bp, h, legalizers)
-    final = g.then(h)
-    result = RealizationResult(
-        blueprint=bp,
-        graph=graph,
-        gates=gates,
-        mixing_factors=mixing,
-        legalizers=legalizers,
-        h=h,
-        g=g,
-        final=final,
-        legalizing_cert=cert,
-    )
+    _, result.legalizing_cert, _ = build_legalizing_map(gates, bp, result.g)
     from . import certify as _certify
 
     # build_legalizing_map has just verified g at C, and every factor of
     # final is one of the records checked above: neither is checked again
-    result.report = _certify._grade(result, cert.ok, True, ())
+    result.report = _certify._grade(result, result.legalizing_cert.ok, True, ())
     return result

@@ -9,9 +9,9 @@ import pathlib
 import pytest
 
 from ttrealize.cli import main
-from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix, _ChainTable
+from ttrealize.maps import GraphMap, MapError, TransitionMatrix, _ChainTable
 from ttrealize.marking import build_marking, pi1_automorphism
-from ttrealize.realize import RealizationResult, enumerate_admissible, realize
+from ttrealize.realize import FactorRecord, RealizationResult, enumerate_admissible, realize
 from ttrealize.traintrack import find_periodic_inps
 from ttrealize.certify import (
     CONDITIONAL,
@@ -47,18 +47,18 @@ def test_full_certificate_on_realization(even_instance):
 
 
 def test_identity_second_factor_fails_certification(odd_instance):
-    """Swapping the certified second factor for the identity loses the
-    certificate: the identity legalizes nothing."""
-    result = _clone(odd_instance)
-    ident = GraphMap.identity(odd_instance.graph)
-    result.g = MapChain(odd_instance.graph, [ident])
-    result.final = odd_instance.h
+    """Swapping the legalizers for one identity record loses the
+    certificate: g = h∘id∘h does not legalize at the stored C, whatever
+    the stored verdict says."""
+    identity = FactorRecord("identity", GraphMap.identity(odd_instance.graph))
+    result = dataclasses.replace(odd_instance, legalizers=[identity], report=None)
     result.legalizing_cert = dataclasses.replace(
         odd_instance.legalizing_cert, verdict="failed", witness=None
     )
     report = certify_realization(result)
-    assert report.level != FULL_THEOREM
-    assert any("legalizing" in note for note in report.notes) or report.level == CONDITIONAL
+    assert report.level == CONDITIONAL
+    C = odd_instance.legalizing_cert.branch_length
+    assert f"map_g is not legalizing at the stored C = {C}" in report.notes
 
 
 def _clone(result):
@@ -173,42 +173,49 @@ def with_factor_image(doc: dict, name: str, edge: str, word: list) -> dict:
     return edits
 
 
-@pytest.mark.parametrize("tamper", ["map_final", "map_g", "legalizing", "rank", "stamp", "gate_map"])
+@pytest.mark.parametrize("tamper", ["legalizing", "rank", "stamp", "gate_map"])
 def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
-    """A document whose composed map is not g followed by h, whose g does
-    not legalize at the stored C, whose blueprint names another rank than
-    its graph's, or one of whose factors is not onto on pi_1, does not get
-    the full certificate, whatever its stored legalizing verdict says."""
+    """A document whose g does not legalize at the stored C, whose
+    blueprint names another rank than its graph's, or one of whose factors
+    is not onto on pi_1, does not get the full certificate, whatever its
+    stored legalizing verdict says.  The bounded search runs only where the
+    conditional tier is still open."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
-    h = doc["map_h"]
-    edits, note = {
-        "map_final": ({"map_final": h}, "map_final is not map_g followed by map_h"),
-        "map_g": ({"map_g": h}, "map_final is not map_g followed by map_h"),
-        # consistent with g := h, so only re-verifying g can catch it
+    edits, note, level = {
+        # g legalizes at C = 2, not at half of it: only re-verifying g can tell
         "legalizing": (
-            {"map_g": h, "map_final": {"factors": h["factors"] * 2}},
-            "map_g is not legalizing at the stored C = 2",
+            {"legalizing": {**doc["legalizing"], "C": 1}},
+            "map_g is not legalizing at the stored C = 1",
+            CONDITIONAL,
         ),
         # the same odd case at rank 4, so only the rank itself differs
-        "rank": ({"blueprint": {**doc["blueprint"], "rank": 4}}, "the graph's rank is not the blueprint's"),
+        "rank": (
+            {"blueprint": {**doc["blueprint"], "rank": 4}},
+            "the graph's rank is not the blueprint's",
+            CONDITIONAL,
+        ),
         # a1 -> c1 c1 a1 a1 is a train track morphism, but its image misses a1
         "stamp": (
             with_factor_image(doc, "stamp[0,1]", "a1", ["c1", "c1", "a1", "a1"]),
             "factor stamp[0,1] is not a homotopy equivalence",
+            FAILED,
         ),
         # c1 -> c1 a1 d sends ~c1 to ~d, and ~a1 to itself: h splits
         # the gate of the two, so it has no gate map and no Whitehead graphs
         "gate_map": (
             with_factor_image(doc, "link[c1]", "c1", ["c1", "a1", "d"]),
             "mixing Whitehead graph disconnected somewhere",
+            FAILED,
         ),
     }[tamper]
     doc.update(edits)
     report = certify_realization(RealizationResult.from_json(doc))
-    assert report.level != FULL_THEOREM
+    assert report.level == level
     assert note in report.notes
-    # off the structural route the bounded search runs
-    assert report.to_json()["inp"]["verdict"] in ("none_found", "found")
+    # the conditional tier needs the search; a failed grade here was
+    # settled before it, by a factor that is not onto or a split gate
+    verdict = "none_found" if level == CONDITIONAL else "not_needed"
+    assert report.to_json()["inp"]["verdict"] == verdict
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     assert main(["certify", str(path)]) == 3
@@ -352,33 +359,37 @@ def test_decoding_rebuilds_the_shared_blocks(monkeypatch):
     assert_one_table_per_block(decoded, built)
 
 
-@pytest.mark.parametrize("key", ["map_h", "map_g", "map_final"])
-def test_a_final_map_that_is_not_g_then_h_is_one_block(key):
-    """A stored chain holding the right factors in the wrong order (map_h
-    reversed, map_g with the legalizers first, map_final = map_h + map_g)
-    decodes to a chain of its own, the other two keep the shared tables,
-    and the document loses the full tier."""
+@pytest.mark.parametrize("case", [
+    "map_h", "map_g", "map_final", "map_g-is-h", "map_final-is-h",
+    "empty-legalizers", "empty-mixing_factors",
+])
+def test_a_stored_chain_that_is_not_its_records_shape_is_rejected(tmp_path, capsys, case):
+    """map_h, map_g and map_final are the chains the records make (H H,
+    H H L H H and H H L H H H H), and each record list is nonempty: any
+    other document is malformed, so the decoder names the key and certify
+    exits 2."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
     h, g = doc["map_h"]["factors"], doc["map_g"]["factors"]
     legalizers = [r["map"] for r in doc["legalizers"]]
-    factors, note = {
-        "map_h": (h[::-1], "map_h is not the mixing factors applied twice"),
-        "map_g": (legalizers + h + h, "map_final is not map_g followed by map_h"),
-        "map_final": (h + g, "map_final is not map_g followed by map_h"),
-    }[key]
-    doc[key] = {"factors": factors}
-    decoded = RealizationResult.from_json(doc)
-    chains = {"map_h": decoded.h, "map_g": decoded.g, "map_final": decoded.final}
-    altered = chains.pop(key)
-    assert len(altered.blocks) == 1
-    assert altered.factors == MapChain.from_json(decoded.graph, doc[key]).factors
-    shared = {id(t) for chain in chains.values() for t in chain.blocks}
-    assert len(shared) == 2 and id(altered.blocks[0]) not in shared
-    blocks = {"map_h": 2, "map_g": 5, "map_final": 7}
-    assert all(len(chain.blocks) == blocks[k] for k, chain in chains.items())
-    report = certify_realization(decoded)
-    assert report.level != FULL_THEOREM
-    assert note in report.notes
+    key, edits = {
+        # the right factors in the wrong order
+        "map_h": ("map_h", {"map_h": {"factors": h[::-1]}}),
+        "map_g": ("map_g", {"map_g": {"factors": legalizers + h + h}}),
+        "map_final": ("map_final", {"map_final": {"factors": h + g}}),
+        # a chain of another length
+        "map_g-is-h": ("map_g", {"map_g": doc["map_h"]}),
+        "map_final-is-h": ("map_final", {"map_final": doc["map_h"]}),
+        "empty-legalizers": ("legalizers", {"legalizers": []}),
+        "empty-mixing_factors": ("mixing_factors", {"mixing_factors": []}),
+    }[case]
+    doc.update(edits)
+    with pytest.raises(ValueError, match=f"^{key} is "):
+        RealizationResult.from_json(doc)
+    path = tmp_path / "reshaped.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 2
+    assert f"{key} is " in capsys.readouterr().err
 
 
 def test_realize_verifies_its_legalizing_map_once(monkeypatch):

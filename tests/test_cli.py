@@ -174,10 +174,21 @@ def _drop_gates(doc):
     del doc["gates"]
 
 
+def _set_blueprint(key, value):
+    def edit(doc):
+        doc["blueprint"][key] = value
+    return edit
+
+
+# rank, each doubled entry and C are JSON integers: a float, a boolean or a
+# string that Python would coerce to one is malformed too
 @pytest.mark.parametrize(
     "edit",
-    [_break_images, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates],
-    ids=["images-list", "C-string", "C-null", "C-over-cap", "missing-key"],
+    [_break_images, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates,
+     _set_blueprint("entries_doubled", [1.7]), _set_blueprint("entries_doubled", [True]),
+     _set_blueprint("entries_doubled", ["1"]), _set_blueprint("rank", 3.0), _set_c(True)],
+    ids=["images-list", "C-string", "C-null", "C-over-cap", "missing-key",
+         "entry-float", "entry-bool", "entry-string", "rank-float", "C-bool"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, edit):
     out = tmp_path / "result.json"

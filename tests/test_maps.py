@@ -299,9 +299,6 @@ def test_map_validation_errors(rose2):
 def test_map_json_round_trip(rose2):
     f = fib_map(rose2)
     assert GraphMap.from_json(rose2, f.to_json()) == f
-    chain = MapChain(rose2, [f, f])
-    clone = MapChain.from_json(rose2, chain.to_json())
-    assert clone.to_json() == chain.to_json()
 
 
 def test_chain_power_below_one_is_rejected(rose2):

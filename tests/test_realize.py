@@ -291,8 +291,8 @@ def test_even_case_certificate_small_branch_length(even_instance):
 
 def test_legalizing_search_log_records_rounds(even_instance):
     r = even_instance
-    g, cert, log = build_legalizing_map(r.graph, r.gates, r.blueprint, r.h, r.legalizers)
-    assert g.factors == r.g.factors and cert.branch_length == r.legalizing_cert.branch_length
+    g, cert, log = build_legalizing_map(r.gates, r.blueprint, r.g)
+    assert g is r.g and cert.branch_length == r.legalizing_cert.branch_length
     assert log == [f"h∘L∘h legalizing at C={cert.branch_length}"]
 
 
@@ -366,7 +366,7 @@ def test_result_json_round_trip(odd_instance):
     clone = RealizationResult.from_json(data)
     assert clone.graph.to_json() == odd_instance.graph.to_json()
     assert clone.gates == odd_instance.gates
-    assert clone.final.to_json() == odd_instance.final.to_json()
+    assert clone.final.factors == odd_instance.final.factors
     cert = verify_legalizing(
         clone.g, clone.gates, odd_instance.legalizing_cert.branch_length
     )
