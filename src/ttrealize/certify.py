@@ -2,26 +2,31 @@
 
 A realization's ``h``, ``g`` and ``final`` are built from its records in
 one shape (``realize.realization_chains``), so ``final`` is ``g``
-followed by ``h`` by construction.  The full certificate route checks
-the structural hypotheses (positive transition matrix and connected
-gate-Whitehead graphs for the mixing map, a valid legalizing certificate
-for the second factor, vertices and gates fixed, every record map a
-homotopy equivalence (one Stallings fold each), its graph's rank and
-gate index list the blueprint's); together these guarantee a fully
-irreducible automorphism whose stable index list is the requested one,
-with no periodic Nielsen paths.  That absence is a conclusion of the
-theorem, not a hypothesis, so a map certified this way runs no
-Nielsen-path search and its report reads ``not_needed``.  The bounded
-search runs only where the structural route fails and the conditional
-tier is still open: that tier grades maps whose factors are homotopy
-equivalences and that only offer a train track composite, primitivity,
-Whitehead connectivity and a clean search, honest but weaker.  Where one
-of those already fails, the search could not change the grade, and the
-report reads ``not_needed`` too.  Positivity and primitivity are read
-from sign patterns, never from exact matrix products.  A map with no
-construction behind it is graded through its intrinsic gates by one
-grader, which always runs the search and which ``stable_index_list`` and
-the experiment's ``grade_sample`` share.
+followed by ``h`` by construction.  One function grades every
+realization, ``grade_realization``; its only verdict input is whether
+``g`` legalizes at the realization's C, which ``realize`` takes from its
+legalizing ladder and ``certify_realization`` re-derives at the stored C.
+The full certificate route checks the structural hypotheses (positive
+transition matrix and connected gate-Whitehead graphs for the mixing
+map, ``g`` legalizing at C, vertices and gates fixed, every record map a
+homotopy equivalence (one Stallings fold each), ``final`` a train track
+morphism, its graph's rank and gate index list the blueprint's);
+together these guarantee a fully irreducible automorphism whose stable
+index list is the requested one, with no periodic Nielsen paths.  That
+absence is a conclusion of the theorem, not a hypothesis, so a map
+certified this way runs no Nielsen-path search and its report reads
+``not_needed``.  The bounded search runs only where the structural route
+fails and the conditional tier is still open: that tier grades maps
+whose factors are homotopy equivalences and that only offer a train
+track composite, primitivity, Whitehead connectivity and a clean search,
+honest but weaker.  Where one of those already fails, the search could
+not change the grade, and the report reads ``not_needed`` too.  Every
+failed hypothesis of the structural route is noted on every tier.
+Positivity and primitivity are read from sign patterns, never from
+exact matrix products.  A map with no construction behind it is graded
+through its intrinsic gates by one grader, which always runs the search
+and which ``stable_index_list`` and the experiment's ``grade_sample``
+share.
 """
 
 from __future__ import annotations
@@ -88,52 +93,50 @@ class CertificationReport:
 
 
 def certify_realization(result) -> CertificationReport:
-    """Grade a realization result; the full tier needs the structural route.
-    The stored legalizing verdict is re-derived at the stored C, never
-    trusted, ``final`` is checked to be a train track morphism, and each
-    distinct record map is folded once to check that it is a homotopy
-    equivalence."""
-    c = result.legalizing_cert.branch_length
+    """Grade a decoded realization: whether ``g`` legalizes is re-derived
+    at the stored C, never trusted."""
+    c = result.C
     ok = c >= result.blueprint.long_turn_length and verify_legalizing(result.g, result.gates, c).ok
-    final_tt = check_train_track_morphism(result.final, result.gates).ok
-    records = result.mixing_factors + result.legalizers
-    maps = {id(rec.map): rec.map for rec in records}
-    onto = {key: is_homotopy_equivalence(f) for key, f in maps.items()}
-    not_equivalent = tuple(rec.name for rec in records if not onto[id(rec.map)])
-    return _grade(result, ok, final_tt, not_equivalent)
+    return grade_realization(result, ok)
 
 
-def _grade(result, legalizing_ok: bool, final_tt: bool,
-           not_equivalent: tuple[str, ...]) -> CertificationReport:
-    """The grading, given whether ``g`` legalizes at the stored C, whether
-    ``final`` is a train track morphism for the gates, and the records
-    whose maps are not homotopy equivalences, which both the structural
-    route and the conditional tier exclude: they grade automorphisms.
-    ``final`` is ``g`` followed by ``h`` and ``h`` the mixing records run
-    twice by construction (``realize.realization_chains``)."""
+def grade_realization(result, legalizing_ok: bool) -> CertificationReport:
+    """The one grading of a realization, given whether ``g`` legalizes at
+    its C; everything else is derived from the records here.  ``final`` is
+    checked to be a train track morphism, one factor at a time, and each
+    distinct record map is folded once to check that it is a homotopy
+    equivalence, which both the structural route and the conditional tier
+    require: they grade automorphisms.  Each failed hypothesis of the
+    structural route adds its note, on every tier."""
     graph, gates = result.graph, result.gates
     notes: list[str] = list(result.blueprint.notes)
     h, g, final = result.h, result.g, result.final
+    records = result.mixing_factors + result.legalizers
+    onto = {id(rec.map): is_homotopy_equivalence(rec.map) for rec in records}
+    not_equivalent = [rec.name for rec in records if not onto[id(rec.map)]]
+    final_tt = check_train_track_morphism(final, gates).ok
 
     h_matrix_positive = is_positive_pattern(h.sign_pattern)
     h_wh_connected = all(_whitehead_connected(h, gates).values())
-    if not legalizing_ok:
-        notes.append(f"map_g is not legalizing at the stored C = {result.legalizing_cert.branch_length}")
-    notes += [f"factor {name} is not a homotopy equivalence" for name in not_equivalent]
     g_fixes = g.fixes_all_vertices() and fixes_all_gates(g, gates)
     index_list = gate_index_list(graph, gates, sorted(periodic_vertices(final)))
     requested = index_list == result.blueprint.index_list
-    if not requested:
-        notes.append("the realized index list is not the blueprint's")
     ranked = graph.rank == result.blueprint.rank
-    if not ranked:
-        notes.append("the graph's rank is not the blueprint's")
-    structural = (h_matrix_positive and h_wh_connected and legalizing_ok and g_fixes
-                  and requested and ranked and not not_equivalent)
+    failures = [
+        (h_matrix_positive, "mixing transition matrix is not positive"),
+        (h_wh_connected, "mixing Whitehead graph disconnected somewhere"),
+        (legalizing_ok, f"map_g is not legalizing at the stored C = {result.C}"),
+        *((False, f"factor {name} is not a homotopy equivalence") for name in not_equivalent),
+        (g_fixes, "legalizing factor moves a vertex or gate"),
+        (requested, "the realized index list is not the blueprint's"),
+        (ranked, "the graph's rank is not the blueprint's"),
+        (final_tt, "composed map is not a train track morphism"),
+    ]
+    notes += [note for ok, note in failures if not ok]
+    full = all(ok for ok, _ in failures)
 
     primitive, witness = is_primitive(final.sign_pattern)
     wh_by_vertex = _whitehead_connected(final, gates)
-    full = structural and final_tt
     # no periodic Nielsen path is a conclusion of Theorem 6.2, not one of
     # its hypotheses: the bounded search runs only where the route fails
     # and the conditional tier, which needs it, is still open
@@ -147,16 +150,6 @@ def _grade(result, legalizing_ok: bool, final_tt: bool,
         notes.append("structural route unavailable; graded from bounded evidence")
     else:
         level = FAILED
-        if not h_matrix_positive:
-            notes.append("mixing transition matrix is not positive")
-        if not h_wh_connected:
-            notes.append("mixing Whitehead graph disconnected somewhere")
-        if not legalizing_ok:
-            notes.append("no valid legalizing certificate")
-        if not g_fixes:
-            notes.append("legalizing factor moves a vertex or gate")
-        if not final_tt:
-            notes.append("composed map is not a train track morphism")
     return CertificationReport(
         train_track_ok=final_tt,
         primitivity_ok=primitive,

@@ -10,10 +10,18 @@ import argparse
 import json
 import sys
 
+from .certify import FULL_THEOREM, certify_realization
 from .core import format_index_entry, format_index_list, parse_index_list
+from .experiment import run_experiment
 from .maps import ComparisonBudgetError
-from .realize import LegalizingSearchError, SelectorError, enumerate_admissible
-from .traintrack import VerificationBudgetError
+from .realize import (
+    LegalizingSearchError,
+    RealizationResult,
+    SelectorError,
+    enumerate_admissible,
+    realize,
+)
+from .traintrack import VerificationBudgetError, count_long_turns
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,9 +73,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _run_realize(args) -> int:
-    from .realize import realize
-    from .certify import FULL_THEOREM
-
     result = realize(args.rank, parse_index_list(args.index_list))
     if args.format == "json":
         _emit(json.dumps(result.to_json(), indent=2), args.out)
@@ -84,17 +89,14 @@ def _realization_summary(result) -> str:
         f"realized index list  {format_index_list(report.index_list)}",
         f"certification level  {report.level}",
         f"primitivity witness  {report.primitivity_witness}",
-        f"legalizing C         {result.legalizing_cert.branch_length}"
-        f" ({result.legalizing_cert.checked} long turns)",
+        f"legalizing C         {result.C}"
+        f" ({count_long_turns(result.graph, result.gates, result.C)} long turns)",
         f"nielsen path search  {report.inp_verdict}",
     ]
     return "\n".join(lines)
 
 
 def _run_certify(args) -> int:
-    from .realize import RealizationResult
-    from .certify import FULL_THEOREM, certify_realization
-
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -118,8 +120,6 @@ def _run_certify(args) -> int:
 
 
 def _run_experiment(args) -> int:
-    from .experiment import run_experiment
-
     table = run_experiment(args.rank, args.length, args.samples, args.seed)
     if args.format == "json":
         _emit(json.dumps(table.to_json(), indent=2), args.out)

@@ -6,10 +6,11 @@ gate counts realize it, selects the legal carrier/witness/split paths
 lists: the mixing factors H and the turn legalizers L.  A realization is
 its records: ``realization_chains`` builds the one shape h = H∘H,
 g = h∘L∘h and final = g∘h from them, and ``stored_chains`` spells that
-shape in the document.  ``realize`` certifies g legalizing at the least
-C of a doubling ladder and returns h∘g with its certificate bundle.  The
-document stores only what the decoder reads: the selected paths live on
-in the factors built from them.  The decoder rejects a document whose
+shape in the document.  ``realize`` finds the least C of a doubling
+ladder at which g legalizes and grades the records with the one grader
+that ``certify`` also uses.  The document stores only what the decoder
+reads: the selected paths live on in the factors built from them, and
+the legalizing block is only C.  The decoder rejects a document whose
 stored chains are not the ones its records make.
 """
 
@@ -30,15 +31,9 @@ from .core import (
     token_key,
     validate_graph,
 )
-from .maps import GraphMap, MapChain, is_homotopy_equivalence, is_positive_pattern
-from .traintrack import (
-    LegalizingCertificate,
-    Turn,
-    check_train_track_morphism,
-    fixes_all_gates,
-    illegal_turns,
-    verify_legalizing,
-)
+from .certify import CertificationReport, grade_realization
+from .maps import GraphMap, MapChain
+from .traintrack import LegalizingCertificate, Turn, illegal_turns, verify_legalizing
 
 CASE_EVEN = "even"
 CASE_ODD = "odd"
@@ -591,8 +586,8 @@ class RealizationResult:
     gates: GateStructure
     mixing_factors: list[FactorRecord]
     legalizers: list[FactorRecord]
-    legalizing_cert: LegalizingCertificate | None = None
-    report: "object | None" = None
+    C: int | None = None  # the C at which g is graded as legalizing
+    report: CertificationReport | None = None
 
     @cached_property
     def _chains(self) -> tuple[MapChain, MapChain, MapChain]:
@@ -620,7 +615,7 @@ class RealizationResult:
             "mixing_factors": mixing,
             "legalizers": legalizers,
             **stored_chains(mixing, legalizers),
-            "legalizing": self.legalizing_cert.to_json(),
+            "legalizing": {"C": self.C},
         }
         if self.report is not None:
             data["report"] = self.report.to_json()
@@ -630,7 +625,9 @@ class RealizationResult:
     def from_json(cls, data: dict) -> "RealizationResult":
         """Decode a document.  Its rank, doubled entries and C must be
         integers, its record lists nonempty and its stored chains the ones
-        its records make; otherwise it raises ``ValueError``."""
+        its records make; otherwise it raises ``ValueError``.  Of the
+        ``legalizing`` block only C is read: ``certify`` re-derives whether
+        g legalizes there."""
         bp_data = data["blueprint"]
         rank, entries = bp_data["rank"], bp_data["entries_doubled"]
         if not (isinstance(entries, list) and all(map(_is_integer, [rank, *entries]))):
@@ -651,47 +648,28 @@ class RealizationResult:
         for key, chain in stored_chains(data["mixing_factors"], data["legalizers"]).items():
             if data[key]["factors"] != chain["factors"]:
                 raise ValueError(f"{key} is not the chain its records make")
-        cert_data = data["legalizing"]
-        if not _is_integer(cert_data["C"]):
-            raise ValueError(f"legalizing C must be an integer, got {cert_data['C']!r}")
-        if cert_data["C"] > bp.c_max:
-            raise ValueError(f"legalizing C = {cert_data['C']} exceeds its cap {bp.c_max}")
-        cert = LegalizingCertificate(
-            branch_length=cert_data["C"],
-            checked=cert_data["checked"],
-            families=cert_data["families"],
-            verdict=cert_data["verdict"],
-        )
-        return cls(bp, graph, gates, mixing, legalizers, cert)
+        C = data["legalizing"]["C"]
+        if not _is_integer(C):
+            raise ValueError(f"legalizing C must be an integer, got {C!r}")
+        if C > bp.c_max:
+            raise ValueError(f"legalizing C = {C} exceeds its cap {bp.c_max}")
+        return cls(bp, graph, gates, mixing, legalizers, C)
 
 
 def realize(rank: int, entries: Sequence[int]) -> RealizationResult:
-    """Full pipeline: blueprint, graph, selectors, h, certified g, h∘g.
+    """Full pipeline: blueprint, graph, selectors, records, certified g, h∘g.
 
-    The returned result carries the certification report produced by the
-    certify module, including the realized index list.
+    The result carries the report of ``certify.grade_realization``, given
+    the verdict of the legalizing ladder; a faulty record grades below
+    the full tier, with a note naming it.
     """
     bp = validate_and_classify(rank, entries)
     graph, gates = build_graph(bp)
     sel = select_paths(graph, gates, bp)
     mixing = build_mixing_factors(graph, gates, bp, sel)
     legalizers = build_turn_legalizers(graph, gates, bp, sel)
-    for rec in mixing + legalizers:
-        diag = check_train_track_morphism(rec.map, gates)
-        if not diag.ok:
-            raise SelectorError(f"factor {rec.name} is not a train track morphism: {diag}")
-        # the fold also requires every vertex fixed
-        if not fixes_all_gates(rec.map, gates) or not is_homotopy_equivalence(rec.map):
-            raise SelectorError(f"factor {rec.name} moves a vertex or a gate, or is not onto on pi_1")
     result = RealizationResult(bp, graph, gates, mixing, legalizers)
-    if not is_positive_pattern(result.h.sign_pattern):
-        raise SelectorError("mixing map transition matrix is not positive")
-    if any(result.h.image_length(e) < 2 for e in graph.positive_edges):
-        raise SelectorError("mixing map fails the length-2 expansion requirement")
-    _, result.legalizing_cert, _ = build_legalizing_map(gates, bp, result.g)
-    from . import certify as _certify
-
-    # build_legalizing_map has just verified g at C, and every factor of
-    # final is one of the records checked above: neither is checked again
-    result.report = _certify._grade(result, result.legalizing_cert.ok, True, ())
+    _, cert, _ = build_legalizing_map(gates, bp, result.g)
+    result.C = cert.branch_length
+    result.report = grade_realization(result, cert.ok)
     return result

@@ -114,11 +114,9 @@ def gate_direction_map(f, gates: GateStructure) -> dict[int, int] | None:
 
 def fixes_all_gates(f, gates: GateStructure) -> bool:
     """Whether every gate maps to itself, that is every direction lands in
-    its own gate.  A ``GraphMap`` is read only at the tokens it moves: a
-    direction it leaves alone stays in its gate."""
-    tokens = f.touched_tokens if isinstance(f, GraphMap) else f.graph.directed_edges
+    its own gate."""
     gate_of = gates.gate_of
-    return all(gate_of(f.direction(t)) == gate_of(t) for t in tokens)
+    return all(gate_of(f.direction(t)) == gate_of(t) for t in f.graph.directed_edges)
 
 
 # -- train track validation ------------------------------------------------

@@ -98,7 +98,7 @@ def test_criterion_3_per_construction_properties(sweep):
             if bp.case in (CASE_EVEN, CASE_ODD):
                 assert wh.is_complete(), (rank, entries, v)
         # the stored C stays under the cap that certify enforces
-        assert result.legalizing_cert.branch_length <= bp.c_max, (rank, entries)
+        assert result.C <= bp.c_max, (rank, entries)
         # the given gates are recovered as the intrinsic ones
         assert intrinsic_gate_structure(result.g) == gates
         assert intrinsic_gate_structure(result.final) == gates

@@ -11,7 +11,13 @@ import pytest
 from ttrealize.cli import main
 from ttrealize.maps import GraphMap, MapError, TransitionMatrix, _ChainTable
 from ttrealize.marking import build_marking, pi1_automorphism
-from ttrealize.realize import FactorRecord, RealizationResult, enumerate_admissible, realize
+from ttrealize.realize import (
+    FactorRecord,
+    RealizationResult,
+    enumerate_admissible,
+    realize,
+    stored_chains,
+)
 from ttrealize.traintrack import find_periodic_inps
 from ttrealize.certify import (
     CONDITIONAL,
@@ -48,17 +54,12 @@ def test_full_certificate_on_realization(even_instance):
 
 def test_identity_second_factor_fails_certification(odd_instance):
     """Swapping the legalizers for one identity record loses the
-    certificate: g = h∘id∘h does not legalize at the stored C, whatever
-    the stored verdict says."""
+    certificate: g = h∘id∘h does not legalize at the stored C."""
     identity = FactorRecord("identity", GraphMap.identity(odd_instance.graph))
     result = dataclasses.replace(odd_instance, legalizers=[identity], report=None)
-    result.legalizing_cert = dataclasses.replace(
-        odd_instance.legalizing_cert, verdict="failed", witness=None
-    )
     report = certify_realization(result)
     assert report.level == CONDITIONAL
-    C = odd_instance.legalizing_cert.branch_length
-    assert f"map_g is not legalizing at the stored C = {C}" in report.notes
+    assert f"map_g is not legalizing at the stored C = {odd_instance.C}" in report.notes
 
 
 def _clone(result):
@@ -71,13 +72,13 @@ LEVEL_ORDER = {FAILED: 0, CONDITIONAL: 1, FULL_THEOREM: 2}
 
 
 def test_certification_level_monotone(odd_instance):
+    """g legalizes at the realized C = 2 and not at C = 1."""
     result = _clone(odd_instance)
-    result.legalizing_cert = dataclasses.replace(
-        odd_instance.legalizing_cert, verdict="failed"
-    )
+    result.C = odd_instance.C // 2
     downgraded = certify_realization(result)
-    result.legalizing_cert = odd_instance.legalizing_cert
+    result.C = odd_instance.C
     restored = certify_realization(result)
+    assert (downgraded.level, restored.level) == (CONDITIONAL, FULL_THEOREM)
     assert LEVEL_ORDER[restored.level] >= LEVEL_ORDER[downgraded.level]
 
 
@@ -173,18 +174,20 @@ def with_factor_image(doc: dict, name: str, edge: str, word: list) -> dict:
     return edits
 
 
-@pytest.mark.parametrize("tamper", ["legalizing", "rank", "stamp", "gate_map"])
+@pytest.mark.parametrize("tamper", ["legalizing", "rank", "stamp", "gate_map", "unmixed"])
 def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
     """A document whose g does not legalize at the stored C, whose
-    blueprint names another rank than its graph's, or one of whose factors
-    is not onto on pi_1, does not get the full certificate, whatever its
-    stored legalizing verdict says.  The bounded search runs only where the
-    conditional tier is still open."""
+    blueprint names another rank than its graph's, one of whose factors
+    is not onto on pi_1, or whose mixing map is not positive, does not get
+    the full certificate, and its notes name the failed hypothesis on
+    every tier.  The bounded search runs only where the conditional tier
+    is still open."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
+    mixing = [r for r in doc["mixing_factors"] if r["name"] != "link[d]"]
     edits, note, level = {
         # g legalizes at C = 2, not at half of it: only re-verifying g can tell
         "legalizing": (
-            {"legalizing": {**doc["legalizing"], "C": 1}},
+            {"legalizing": {"C": 1}},
             "map_g is not legalizing at the stored C = 1",
             CONDITIONAL,
         ),
@@ -206,6 +209,13 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
             with_factor_image(doc, "link[c1]", "c1", ["c1", "a1", "d"]),
             "mixing Whitehead graph disconnected somewhere",
             FAILED,
+        ),
+        # without link[d], h's matrix is not positive: the grade falls back
+        # on the search, and its notes still say why
+        "unmixed": (
+            {"mixing_factors": mixing, **stored_chains(mixing, doc["legalizers"])},
+            "mixing transition matrix is not positive",
+            CONDITIONAL,
         ),
     }[tamper]
     doc.update(edits)
@@ -249,15 +259,20 @@ IGNORED_KEYS = {"selectors", "marking", "search_log"}
 
 
 def test_documents_in_the_older_format_decode_and_certify():
+    """The older legalizing block also stored a verdict and two counters;
+    only C is read, so junk values there change nothing."""
     doc = json.loads(OLD_FORMAT.read_text())
     assert IGNORED_KEYS <= set(doc) and "germ_pairing" in doc["blueprint"]
-    decoded = RealizationResult.from_json(doc)
-    report = certify_realization(decoded)
-    assert report.level == FULL_THEOREM
-    assert report.to_json() == doc["report"]
-    again = decoded.to_json()
-    assert not IGNORED_KEYS & set(again)
-    assert set(again["blueprint"]) == {"rank", "entries_doubled"}
+    junk = {**doc, "legalizing": {"C": 2, "checked": "abc", "families": [1], "verdict": 7}}
+    for stored in (junk, doc):
+        decoded = RealizationResult.from_json(stored)
+        report = certify_realization(decoded)
+        assert report.level == FULL_THEOREM
+        assert report.to_json() == doc["report"]
+        again = decoded.to_json()
+        assert not IGNORED_KEYS & set(again)
+        assert set(again["blueprint"]) == {"rank", "entries_doubled"}
+        assert again["legalizing"] == {"C": 2}
     # the older records also stored an inverse, which is not read either
     for key in ("mixing_factors", "legalizers"):
         assert all(set(r) == {"name", "map", "inverse"} for r in doc[key])
@@ -424,14 +439,14 @@ def test_realize_verifies_its_legalizing_map_once(monkeypatch):
 # SHA-256 of json.dumps of each rank 3-4 document and then its certify
 # report, in enumeration order.  A change that alters outputs on purpose
 # updates it and says why.
-RANK_3_AND_4_OUTPUTS = "6bfddcca8b507e3d3a019ef70a9340d9ac1eb8fd38506593c8a5b2c62fe85e8e"
+RANK_3_AND_4_OUTPUTS = "01cc0e163dd90e8af489b4dc03ffed29bd0582da3017cdcb12d389ea95b303d8"
 
 
 def test_realize_grades_as_certify_does_on_every_rank_3_and_4_list():
-    """realize grades with the legalizing, train track and homotopy
-    equivalence verdicts it has just derived; certify re-derives all three
-    from the document alone, and the two reports agree.  The documents and
-    reports are the pinned ones."""
+    """realize and certify grade through one function, realize with the
+    legalizing verdict its ladder has just derived and certify with the one
+    it re-derives from the document alone, and the two reports agree.  The
+    documents and reports are the pinned ones."""
     lists = [(rank, lst) for rank in (3, 4) for lst in enumerate_admissible(rank)]
     assert len(lists) == 24
     digest = hashlib.sha256()

@@ -107,6 +107,7 @@ def test_realize_text_format(capsys):
     assert "certification level" in text
     assert "full_theorem_62" in text
     assert "nielsen path search  not_needed" in text.splitlines()
+    assert "legalizing C         2 (240 long turns)" in text.splitlines()
 
 
 def test_enumerate_text_and_json(tmp_path, capsys):

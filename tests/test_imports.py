@@ -26,20 +26,43 @@ def test_scan_sees_an_unused_import():
     assert unused_imports(source) == ["line 3: c"]
 
 
-def unused_by_module(paths) -> dict[str, list[str]]:
+def function_local_imports(source: str) -> list[str]:
+    """Import statements inside a function body, with their lines."""
+    found = {
+        node.lineno: ast.unparse(node)
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}: {text}" for line, text in sorted(found.items())]
+
+
+def test_scan_sees_a_function_local_import():
+    source = "import os\ndef f():\n    import sys\n    def g():\n        from a import b\n    return os, sys, g\n"
+    assert function_local_imports(source) == ["line 3: import sys", "line 5: from a import b"]
+
+
+def by_module(scan, paths) -> dict[str, list[str]]:
     return {
-        path.name: names
+        path.name: found
         for path in paths
-        if (names := unused_imports(path.read_text(encoding="utf-8")))
+        if (found := scan(path.read_text(encoding="utf-8")))
     }
 
 
 def test_no_test_module_imports_a_name_it_never_reads():
-    assert unused_by_module(sorted(TESTS.glob("*.py"))) == {}
+    assert by_module(unused_imports, sorted(TESTS.glob("*.py"))) == {}
 
 
 def test_no_package_module_imports_a_name_it_never_reads():
     """``__init__`` is skipped: its imports are the public re-exports."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert modules, PACKAGE
-    assert unused_by_module(modules) == {}
+    assert by_module(unused_imports, modules) == {}
+
+
+def test_no_package_module_imports_inside_a_function():
+    """Every import of the package is at module top, where a cycle shows
+    on import."""
+    assert by_module(function_local_imports, sorted(PACKAGE.glob("*.py"))) == {}

@@ -37,7 +37,7 @@ from ttrealize.traintrack import (
     verify_legalizing,
     whitehead_graphs,
 )
-from ttrealize.realize import select_paths
+from ttrealize.realize import build_legalizing_map, select_paths
 from test_chain_oracle import sparse_factor
 from test_maps import random_graph, random_self_map
 
@@ -313,17 +313,17 @@ def test_identity_is_not_legalizing(even_instance):
 
 
 def test_certified_map_is_legalizing(even_instance):
-    cert = even_instance.legalizing_cert
-    assert cert.ok
-    again = verify_legalizing(even_instance.g, even_instance.gates, cert.branch_length)
+    r = even_instance
+    _, cert, _ = build_legalizing_map(r.gates, r.blueprint, r.g)
+    assert cert.ok and cert.branch_length == r.C
+    again = verify_legalizing(r.g, r.gates, r.C)
     assert again.ok
-    assert again.checked == cert.checked
+    assert again.checked == cert.checked == count_long_turns(r.graph, r.gates, r.C)
 
 
 def test_legalizing_verdict_is_monotone_in_length(odd_instance):
-    cert = odd_instance.legalizing_cert
     deeper = verify_legalizing(
-        odd_instance.g, odd_instance.gates, cert.branch_length + 1
+        odd_instance.g, odd_instance.gates, odd_instance.C + 1
     )
     assert deeper.ok
 
