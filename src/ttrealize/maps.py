@@ -676,11 +676,6 @@ class MapChain:
     def image_length(self, token: str) -> int:
         return self._lengths()[0][self._passes[0].table.root_of[token]]
 
-    def word_image_length(self, word: Sequence[str]) -> int:
-        lengths = self._lengths()[0]
-        root_of = self._passes[0].table.root_of
-        return sum(map(lengths.__getitem__, map(root_of.__getitem__, word)))
-
     def image_window(self, token: str, start: int, count: int) -> list[str]:
         """Letters [start, start+count) of the image of ``token``."""
         return word_image_window(self, (token,), start, count)
@@ -813,10 +808,21 @@ class ImageCursor:
         return out
 
 
-def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str]):
+def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str],
+             heads: dict | None = None, count: int = 0):
     """Run one cursor down each image to their first divergence; returns
     both cursors and ``compare_image_words``'s outcome.  On a divergence
-    the cursors sit on the two letters that differ.
+    the cursors sit on the two letters that differ, unless a lookup in
+    ``heads`` answered it: the cursors are then None and the outcome is
+    ``strip_windows``'s, windows included.
+
+    ``heads`` maps the head pass of a chain to that chain's lookup (see
+    ``strip_windows``).  When both cursors sit on different boundary
+    tokens a and b at the bottom of a pass whose next pass has a lookup,
+    every earlier letter agrees and the rest of the comparison is the
+    images of a and b under that chain: a divergence at k with two full
+    ``count``-letter windows is the answer at ``pos + k``.  Any other
+    answer is a miss, and the cursors descend from where they stand.
 
     This is the lockstep kernel: ``ImageCursor.advance`` and ``descend``
     for both cursors, inlined.  Each cursor's top frame lives in locals
@@ -894,6 +900,12 @@ def _diverge(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str]):
                 tokens = pa.table.tokens
                 outcome = ("diverge", pos, tokens[na], tokens[nb])
                 break
+            look = heads and na < boundaries and nb < boundaries and heads.get(pa.next)
+            if look:
+                tokens = pa.table.tokens
+                hit = look(tokens[na], tokens[nb])
+                if hit is not None and len(hit[1]) == count == len(hit[2]):
+                    return None, None, ("diverge", pos + hit[0], hit[1], hit[2])
             descend_a = descend_b = True
         else:
             descend_a = ha > hb
@@ -934,23 +946,39 @@ def compare_image_words(chain: MapChain, word_a: Sequence[str], word_b: Sequence
 
     Returns ("diverge", pos, letter_a, letter_b) where pos is the common
     prefix length, or ("contained", side, pos) with side "a", "b" or
-    "equal" when one image is an initial subpath of the other.  Equal
-    subtrees are skipped whole, so structurally shared prefixes (the
-    common case for the compositions built here) cost O(1) each.
+    "equal" when one image is an initial subpath of the other.  Images
+    whose first letters differ are answered from the head pass's
+    ``first`` table, with no cursors.  Equal subtrees are skipped whole,
+    so structurally shared prefixes (the common case for the compositions
+    built here) cost O(1) each.
     """
+    if word_a and word_b:
+        head = chain._passes[0]
+        index, first = head.table.index, head.first
+        da, db = first[index[word_a[0]]], first[index[word_b[0]]]
+        if da != db:
+            return ("diverge", 0, head.table.tokens[da], head.table.tokens[db])
     return _diverge(chain, word_a, word_b)[2]
 
 
-def strip_windows(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str], count: int):
+def strip_windows(chain: MapChain, word_a: Sequence[str], word_b: Sequence[str], count: int,
+                  lookup: dict | None = None):
     """The first divergence of two chain images and the images from there.
 
     Returns ("diverge", pos, window_a, window_b), each window the next
     ``count`` letters of its image from ``pos`` on, read by the cursors the
     comparison left on the letters that differ; or the containment outcome
     of ``compare_image_words``.
+
+    ``lookup`` maps chains whose passes end ``chain`` (lower powers, as
+    ``power`` shares them) to functions of two tokens a and b that return
+    None or (k, window_a, window_b): the divergence of their images under
+    that chain and ``count`` letters of each from there.  ``_diverge``
+    asks them; without a lookup it reads every letter itself.
     """
-    a, b, outcome = _diverge(chain, word_a, word_b)
-    if outcome[0] == "contained":
+    heads = None if lookup is None else {lower._passes[0]: look for lower, look in lookup.items()}
+    a, b, outcome = _diverge(chain, word_a, word_b, heads, count)
+    if outcome[0] == "contained" or a is None:
         return outcome
     return ("diverge", outcome[1], a.spell(count), b.spell(count))
 

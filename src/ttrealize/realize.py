@@ -624,10 +624,10 @@ class RealizationResult:
     @classmethod
     def from_json(cls, data: dict) -> "RealizationResult":
         """Decode a document.  Its rank, doubled entries and C must be
-        integers, its record lists nonempty and its stored chains the ones
-        its records make; otherwise it raises ``ValueError``.  Of the
-        ``legalizing`` block only C is read: ``certify`` re-derives whether
-        g legalizes there."""
+        integers, C in [1, c_max], its record lists nonempty and its stored
+        chains the ones its records make; otherwise it raises
+        ``ValueError``.  Of the ``legalizing`` block only C is read:
+        ``certify`` re-derives whether g legalizes there."""
         bp_data = data["blueprint"]
         rank, entries = bp_data["rank"], bp_data["entries_doubled"]
         if not (isinstance(entries, list) and all(map(_is_integer, [rank, *entries]))):
@@ -651,8 +651,8 @@ class RealizationResult:
         C = data["legalizing"]["C"]
         if not _is_integer(C):
             raise ValueError(f"legalizing C must be an integer, got {C!r}")
-        if C > bp.c_max:
-            raise ValueError(f"legalizing C = {C} exceeds its cap {bp.c_max}")
+        if not 1 <= C <= bp.c_max:
+            raise ValueError(f"legalizing C = {C} is outside [1, {bp.c_max}]")
         return cls(bp, graph, gates, mixing, legalizers, C)
 
 

@@ -546,7 +546,12 @@ def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
     searched at p, so no strip step that stays within the comparison
     budget is taken twice at one power: the states of one search settle
     into a fixed state or a swapped 2-cycle (x, y) -> (y, x) -> (x, y),
-    and searches from different turns meet.
+    and searches from different turns meet.  Images are never tightened,
+    so f^p = f^q after f^(p-q) letter by letter, and ``base.power(p)`` ends
+    in the passes of every lower power q: where a strip step at p meets
+    two different letters a and b at the top of power q, it reads the
+    step of the single-letter state ((a,), (b,)) from q's table, made
+    and filled there on first use (Bestvina-Handel 1992, section 5).
 
     Absence is bounded-complete for vertex-endpoint candidates only;
     Nielsen paths with endpoints inside edges are out of scope here.
@@ -570,14 +575,19 @@ def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
     found = []
     notes: list[str] = []
     tables: dict[int, StripSteps] = {}
+
+    def table(p: int) -> StripSteps:
+        if p not in tables:
+            lower = {base.power(q): (lambda a, b, q=q: table(q).lookup(a, b)) for q in range(1, p)}
+            tables[p] = StripSteps(base.power(p), notes, lower)
+        return tables[p]
+
     for turn in illegal_turns(graph, gates):
         e, e2 = turn.tokens()
         for p in range(1, INP_PERIOD_BOUND + 1):
             if dirs[e][p] != dirs[e2][p]:
                 continue
-            if p not in tables:
-                tables[p] = StripSteps(base.power(p), notes)
-            hit = _iterate_strip_states(tables[p], turn)
+            hit = _iterate_strip_states(table(p), turn)
             if hit is not None:
                 found.append((turn, p, hit))
     verdict = FOUND if found else NONE_FOUND
@@ -597,7 +607,7 @@ def _iterate_strip_states(steps: StripSteps, turn: Turn):
         if (nx, ny) == (x, y):
             # exact fixed-state equations: remainder lengths must equal the
             # branch lengths, and the remainders must equal the branches.
-            if fp.word_image_length(x) - cut == len(x) and fp.word_image_length(y) - cut == len(y):
+            if _image_length_is(fp, x, cut + len(x)) and _image_length_is(fp, y, cut + len(y)):
                 return (x, y)
             return None
         if (nx, ny) in seen:
@@ -608,6 +618,18 @@ def _iterate_strip_states(steps: StripSteps, turn: Turn):
         f"state iteration for turn {turn.tokens()} hit the step bound"
     )
     return None
+
+
+def _image_length_is(fp: MapChain, word: tuple[str, ...], n: int) -> bool:
+    """Whether the image of ``word`` has exactly ``n`` letters, summing the
+    letters' image lengths only until they pass ``n``: a fixed-state check
+    mostly fails on the first letter or two of a 200-letter window."""
+    total = 0
+    for t in word:
+        total += fp.image_length(t)
+        if total > n:
+            return False
+    return total == n
 
 
 class StripSteps:
@@ -623,14 +645,34 @@ class StripSteps:
     holds the step returned for every state asked, except a step that ran
     out of budget: that one appends a note to ``notes`` and is taken
     afresh each time, so every note is still written.
+
+    ``lower`` is the ``lookup`` argument of ``strip_windows``: it maps the
+    lower powers whose passes end ``fp`` to their tables' ``lookup``.
+    ``lookup(a, b)`` is the step of the state ((a,), (b,)) asked by a
+    higher power: it fills ``taken`` as ``step`` does, but out of budget
+    it is a miss that writes no note and stores nothing.
     """
 
-    def __init__(self, fp: MapChain, notes: list[str]):
+    def __init__(self, fp: MapChain, notes: list[str], lower: dict | None = None):
         self.fp = fp
         self.notes = notes
+        self.lower = lower
         self.taken: dict[tuple, tuple | None] = {}
 
     def step(self, x: tuple[str, ...], y: tuple[str, ...]):
+        try:
+            return self._take(x, y)
+        except ComparisonBudgetError:
+            self.notes.append("strip step exceeded the comparison budget")
+            return None
+
+    def lookup(self, a: str, b: str):
+        try:
+            return self._take((a,), (b,))
+        except ComparisonBudgetError:
+            return None
+
+    def _take(self, x: tuple[str, ...], y: tuple[str, ...]):
         taken = self.taken
         if (x, y) in taken:
             return taken[(x, y)]
@@ -638,11 +680,7 @@ class StripSteps:
             swap = taken[(y, x)]
             result = None if swap is None else (swap[0], swap[2], swap[1])
         else:
-            try:
-                outcome = strip_windows(self.fp, x, y, INP_LENGTH_BOUND)
-            except ComparisonBudgetError:
-                self.notes.append("strip step exceeded the comparison budget")
-                return None
+            outcome = strip_windows(self.fp, x, y, INP_LENGTH_BOUND, self.lower)
             if outcome[0] == "contained":
                 result = None
             else:

@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 from ttrealize.cli import main
+from ttrealize.experiment import run_experiment
 from ttrealize.maps import GraphMap, MapError, TransitionMatrix, _ChainTable
 from ttrealize.marking import build_marking, pi1_automorphism
 from ttrealize.realize import (
@@ -458,6 +459,17 @@ def test_realize_grades_as_certify_does_on_every_rank_3_and_4_list():
         digest.update(text.encode())
         digest.update(json.dumps(report).encode())
     assert digest.hexdigest() == RANK_3_AND_4_OUTPUTS
+
+
+# SHA-256 of json.dumps(run_experiment(3, 26, 100, 7).canonical_json(),
+# sort_keys=True), the last line of scripts/output_digests.py.
+EXPERIMENT_3_26_100_SEED_7 = "98129c04daf2e6fee46b81c6d4da4ea3265d784fb0380f88b7cab0309cad93d9"
+
+
+def test_experiment_table_is_the_pinned_one():
+    table = run_experiment(3, 26, 100, 7).canonical_json()
+    digest = hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest()
+    assert digest == EXPERIMENT_3_26_100_SEED_7
 
 
 def test_encoding_leaves_no_state_behind():

@@ -187,9 +187,11 @@ def _set_blueprint(key, value):
     "edit",
     [_break_images, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates,
      _set_blueprint("entries_doubled", [1.7]), _set_blueprint("entries_doubled", [True]),
-     _set_blueprint("entries_doubled", ["1"]), _set_blueprint("rank", 3.0), _set_c(True)],
+     _set_blueprint("entries_doubled", ["1"]), _set_blueprint("rank", 3.0), _set_c(True),
+     _set_c(0), _set_c(-3)],
     ids=["images-list", "C-string", "C-null", "C-over-cap", "missing-key",
-         "entry-float", "entry-bool", "entry-string", "rank-float", "C-bool"],
+         "entry-float", "entry-bool", "entry-string", "rank-float", "C-bool",
+         "C-zero", "C-negative"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, edit):
     out = tmp_path / "result.json"

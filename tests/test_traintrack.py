@@ -437,9 +437,11 @@ def _fresh_strip_step(table, x, y):
 
 def test_strip_step_table_matches_fresh_steps(monkeypatch):
     """Every step a per-power table handed out, the ones read off a swapped
-    state included, is the step a fresh ``strip_windows`` takes; and the
-    swap of every entry is the fresh step of the swapped state."""
-    tables, swapped = [], 0
+    state and the ones filled by a higher power's lookup included, is the
+    step a fresh ``strip_windows`` takes, with no lookup; and the swap of
+    every entry is the fresh step of the swapped state.  Some higher-power
+    steps are answered by a lookup."""
+    tables, swapped, answered = [], 0, 0
 
     class Recording(traintrack.StripSteps):
         def __init__(self, *args):
@@ -451,13 +453,20 @@ def test_strip_step_table_matches_fresh_steps(monkeypatch):
             swapped += (x, y) not in self.taken and (y, x) in self.taken
             return super().step(x, y)
 
+        def lookup(self, a, b):
+            nonlocal answered
+            found = super().lookup(a, b)
+            full = traintrack.INP_LENGTH_BOUND
+            answered += found is not None and len(found[1]) == full == len(found[2])
+            return found
+
     monkeypatch.setattr(traintrack, "StripSteps", Recording)
     for seed in range(12):
         chain = sample_positive_automorphism(3, 14 + seed, seed)
         power = expanding_power(chain)
         if power is not None:
             find_periodic_inps(chain.power(power), intrinsic_gate_structure(chain))
-    assert swapped >= 1
+    assert swapped >= 1 and answered >= 1
     for table in tables:
         for (x, y), entry in table.taken.items():
             assert entry == _fresh_strip_step(table, x, y)
@@ -478,6 +487,9 @@ def test_strip_step_out_of_budget_is_noted_every_time(monkeypatch):
         assert steps.step(x, y) is None
     assert notes == ["strip step exceeded the comparison budget"] * 3
     assert steps.taken == {}
+    # a higher power's lookup that runs out is a miss: no note, nothing stored
+    assert steps.lookup("a", "b") is None
+    assert len(notes) == 3 and steps.taken == {}
 
 
 # -- index lists ------------------------------------------------------------------
