@@ -6,27 +6,22 @@ followed by ``h`` by construction.  One function grades every
 realization, ``grade_realization``; its only verdict input is whether
 ``g`` legalizes at the realization's C, which ``realize`` takes from its
 legalizing ladder and ``certify_realization`` re-derives at the stored C.
-The full certificate route checks the structural hypotheses (positive
-transition matrix and connected gate-Whitehead graphs for the mixing
-map, ``g`` legalizing at C, vertices and gates fixed, every record map a
-homotopy equivalence (one Stallings fold each), ``final`` a train track
-morphism, its graph's rank and gate index list the blueprint's);
-together these guarantee a fully irreducible automorphism whose stable
-index list is the requested one, with no periodic Nielsen paths.  That
-absence is a conclusion of the theorem, not a hypothesis, so a map
-certified this way runs no Nielsen-path search and its report reads
-``not_needed``.  The bounded search runs only where the structural route
-fails and the conditional tier is still open: that tier grades maps
-whose factors are homotopy equivalences and that only offer a train
-track composite, primitivity, Whitehead connectivity and a clean search,
-honest but weaker.  Where one of those already fails, the search could
-not change the grade, and the report reads ``not_needed`` too.  Every
-failed hypothesis of the structural route is noted on every tier.
-Positivity and primitivity are read from sign patterns, never from
-exact matrix products.  A map with no construction behind it is graded
-through its intrinsic gates by one grader, which always runs the search
-and which ``stable_index_list`` and the experiment's ``grade_sample``
-share.
+A realization gets one of two grades.  It is ``full_theorem_62`` when
+every structural hypothesis holds (positive transition matrix and
+connected gate-Whitehead graphs for the mixing map, ``g`` legalizing at
+C, vertices and gates fixed, every record map a homotopy equivalence
+(one Stallings fold each), ``final`` a train track morphism, its graph's
+rank and gate index list the blueprint's); together these guarantee a
+fully irreducible automorphism whose stable index list is the requested
+one, with no periodic Nielsen paths.  That absence is a conclusion of
+the theorem, not a hypothesis, so no Nielsen-path search runs.  Otherwise
+it is ``failed``, and each failed hypothesis is noted.  The report holds
+the grade, whether ``final`` is a train track morphism, the legalizing
+verdict, the realized index list and the notes.  Positivity is read from
+sign patterns, never from exact matrix products.  A map with no
+construction behind it is graded through its intrinsic gates by one
+grader, which always runs the bounded search and which
+``stable_index_list`` and the experiment's ``grade_sample`` share.
 """
 
 from __future__ import annotations
@@ -39,10 +34,9 @@ from .core import (
     inverse,
     tighten_word,
 )
-from .maps import as_chain, is_homotopy_equivalence, is_positive_pattern, is_primitive
+from .maps import as_chain, is_homotopy_equivalence, is_positive_pattern
 from .traintrack import (
     NONE_FOUND,
-    InpSearchResult,
     check_train_track_morphism,
     find_periodic_inps,
     fixes_all_gates,
@@ -55,39 +49,23 @@ from .traintrack import (
 )
 
 FULL_THEOREM = "full_theorem_62"
-CONDITIONAL = "conditional"
 FAILED = "failed"
-NOT_NEEDED = "not_needed"  # the report's search verdict when no search ran
 
 
 @dataclass
 class CertificationReport:
     train_track_ok: bool
-    primitivity_ok: bool
-    primitivity_witness: int | None
-    whitehead_connected: dict[str, bool]
     legalizing_ok: bool | None
-    inp: InpSearchResult | None  # None: no verdict of the search could change the grade
     index_list: tuple[int, ...]
     level: str
     notes: tuple[str, ...] = ()
-
-    @property
-    def inp_verdict(self) -> str:
-        return NOT_NEEDED if self.inp is None else self.inp.verdict
 
     def to_json(self) -> dict:
         return {
             "level": self.level,
             "train_track": self.train_track_ok,
-            "primitivity": {
-                "ok": self.primitivity_ok,
-                "witness": self.primitivity_witness,
-            },
-            "whitehead": dict(self.whitehead_connected),
             "legalizing_ok": self.legalizing_ok,
             "index_list": [format_index_entry(d) for d in self.index_list],
-            "inp": {"verdict": NOT_NEEDED} if self.inp is None else self.inp.to_json(),
             "notes": list(self.notes),
         }
 
@@ -105,9 +83,8 @@ def grade_realization(result, legalizing_ok: bool) -> CertificationReport:
     its C; everything else is derived from the records here.  ``final`` is
     checked to be a train track morphism, one factor at a time, and each
     distinct record map is folded once to check that it is a homotopy
-    equivalence, which both the structural route and the conditional tier
-    require: they grade automorphisms.  Each failed hypothesis of the
-    structural route adds its note, on every tier."""
+    equivalence.  The grade is full when every hypothesis holds and failed
+    otherwise; each failed hypothesis adds its note."""
     graph, gates = result.graph, result.gates
     notes: list[str] = list(result.blueprint.notes)
     h, g, final = result.h, result.g, result.final
@@ -117,7 +94,7 @@ def grade_realization(result, legalizing_ok: bool) -> CertificationReport:
     final_tt = check_train_track_morphism(final, gates).ok
 
     h_matrix_positive = is_positive_pattern(h.sign_pattern)
-    h_wh_connected = all(_whitehead_connected(h, gates).values())
+    h_wh_connected = _whitehead_connected(h, gates)
     g_fixes = g.fixes_all_vertices() and fixes_all_gates(g, gates)
     index_list = gate_index_list(graph, gates, sorted(periodic_vertices(final)))
     requested = index_list == result.blueprint.index_list
@@ -133,42 +110,23 @@ def grade_realization(result, legalizing_ok: bool) -> CertificationReport:
         (final_tt, "composed map is not a train track morphism"),
     ]
     notes += [note for ok, note in failures if not ok]
-    full = all(ok for ok, _ in failures)
-
-    primitive, witness = is_primitive(final.sign_pattern)
-    wh_by_vertex = _whitehead_connected(final, gates)
-    # no periodic Nielsen path is a conclusion of Theorem 6.2, not one of
-    # its hypotheses: the bounded search runs only where the route fails
-    # and the conditional tier, which needs it, is still open
-    open_conditional = final_tt and not not_equivalent and primitive and all(wh_by_vertex.values())
-    inp = find_periodic_inps(final, gates) if open_conditional and not full else None
-
-    if full:
-        level = FULL_THEOREM
-    elif inp is not None and inp.verdict == NONE_FOUND:
-        level = CONDITIONAL
-        notes.append("structural route unavailable; graded from bounded evidence")
-    else:
-        level = FAILED
     return CertificationReport(
         train_track_ok=final_tt,
-        primitivity_ok=primitive,
-        primitivity_witness=witness,
-        whitehead_connected=wh_by_vertex,
         legalizing_ok=legalizing_ok,
-        inp=inp,
         index_list=index_list,
-        level=level,
+        level=FULL_THEOREM if all(ok for ok, _ in failures) else FAILED,
         notes=tuple(notes),
     )
 
 
-def _whitehead_connected(f, gates) -> dict[str, bool]:
-    """Whether each vertex's gate-Whitehead graph is connected; a map that
-    moves a vertex or splits a gate has none, and fails at every vertex."""
-    if f.fixes_all_vertices() and gate_direction_map(f, gates) is not None:
-        return {v: w.is_connected() for v, w in whitehead_graphs(f, gates).items()}
-    return dict.fromkeys(f.graph.vertices, False)
+def _whitehead_connected(f, gates) -> bool:
+    """Whether every vertex's gate-Whitehead graph is connected; a map that
+    moves a vertex or splits a gate has none, and fails."""
+    return (
+        f.fixes_all_vertices()
+        and gate_direction_map(f, gates) is not None
+        and all(w.is_connected() for w in whitehead_graphs(f, gates).values())
+    )
 
 
 def _intrinsic_grade(f):

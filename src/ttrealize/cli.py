@@ -88,10 +88,8 @@ def _realization_summary(result) -> str:
         f"requested index list {format_index_list(result.blueprint.index_list)}",
         f"realized index list  {format_index_list(report.index_list)}",
         f"certification level  {report.level}",
-        f"primitivity witness  {report.primitivity_witness}",
         f"legalizing C         {result.C}"
         f" ({count_long_turns(result.graph, result.gates, result.C)} long turns)",
-        f"nielsen path search  {report.inp_verdict}",
     ]
     return "\n".join(lines)
 

@@ -513,22 +513,6 @@ class InpSearchResult:
     verdict: str
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "periodBound": self.period_bound,
-            "lengthBound": self.length_bound,
-            "verdict": self.verdict,
-            "found": [
-                {
-                    "turn": list(turn.tokens()),
-                    "period": p,
-                    "branches": [list(x), list(y)],
-                }
-                for (turn, p, (x, y)) in self.found
-            ],
-            "notes": list(self.notes),
-        }
-
 
 def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
     """Bounded search for periodic Nielsen paths with vertex endpoints.
@@ -556,10 +540,10 @@ def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
     Absence is bounded-complete for vertex-endpoint candidates only;
     Nielsen paths with endpoints inside edges are out of scope here.
 
-    ``certify`` runs the search only where the structural route of
-    Theorem 6.2 fails, since that route concludes there are no periodic
-    Nielsen paths; its intrinsic grader, behind ``stable_index_list`` and
-    the experiment, always runs it.
+    ``certify`` never runs the search on a realization: its two grades
+    rest on the hypotheses of Theorem 6.2, which conclude there are no
+    periodic Nielsen paths.  Its intrinsic grader, behind
+    ``stable_index_list`` and the experiment, always runs it.
     """
     graph = f.graph
     for e in graph.positive_edges:

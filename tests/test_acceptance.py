@@ -10,7 +10,7 @@ import pytest
 
 from ttrealize.cli import enumerate_admissible
 from ttrealize.core import canonical_index_list
-from ttrealize.maps import compose_maps, is_homotopy_equivalence, transition_matrix
+from ttrealize.maps import GraphMap, compose_maps, is_homotopy_equivalence, transition_matrix
 from ttrealize.traintrack import (
     find_periodic_inps,
     intrinsic_gate_structure,
@@ -168,13 +168,11 @@ def test_criterion_4_nielsen_path_behavior(sweep, rose2):
     )
     assert len(chosen) >= 20
     for result in chosen:
-        # the full tier runs no search; the cross-check runs it here
-        assert result.report.to_json()["inp"] == {"verdict": "not_needed"}
+        # no grade runs the search or reports on it; the cross-check runs it here
+        assert "inp" not in result.report.to_json()
         inp = find_periodic_inps(result.final, result.gates)
         assert inp.verdict == "none_found", result.blueprint
         assert inp.period_bound == 8 and inp.length_bound == 200
-    from ttrealize.maps import GraphMap
-
     fib = GraphMap(rose2, {"a": ("a", "b"), "b": ("a",)})
     status, t = periodic_class_status(fib, ("a", "b", "~a", "~b"), t_max=6)
     assert (status, t) == ("recurrent", 2)

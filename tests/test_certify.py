@@ -21,7 +21,6 @@ from ttrealize.realize import (
 )
 from ttrealize.traintrack import find_periodic_inps
 from ttrealize.certify import (
-    CONDITIONAL,
     FAILED,
     FULL_THEOREM,
     certify_realization,
@@ -34,6 +33,13 @@ from ttrealize.certify import (
 )
 
 
+# A report's JSON keys, and three more that reports in older documents
+# hold: no grade reads primitivity, Whitehead connectivity of final or a
+# Nielsen-path search verdict.
+REPORT_KEYS = {"level", "train_track", "legalizing_ok", "index_list", "notes"}
+DROPPED_KEYS = {"primitivity", "whitehead", "inp"}
+
+
 def fib(rose2):
     return GraphMap(rose2, {"a": ("a", "b"), "b": ("a",)})
 
@@ -41,11 +47,9 @@ def fib(rose2):
 def test_full_certificate_on_realization(even_instance):
     report = even_instance.report
     assert report.level == FULL_THEOREM
-    assert report.train_track_ok
-    assert report.primitivity_ok
-    assert report.primitivity_witness is not None
-    assert all(report.whitehead_connected.values())
-    assert report.inp is None and report.inp_verdict == "not_needed"
+    assert report.train_track_ok and report.legalizing_ok
+    for name in ("primitivity_ok", "primitivity_witness", "whitehead_connected", "inp", "inp_verdict"):
+        assert not hasattr(report, name), name
     assert report.index_list == even_instance.blueprint.index_list
     # the theorem's conclusion, cross-checked by the bounded search
     inp = find_periodic_inps(even_instance.final, even_instance.gates)
@@ -59,28 +63,17 @@ def test_identity_second_factor_fails_certification(odd_instance):
     identity = FactorRecord("identity", GraphMap.identity(odd_instance.graph))
     result = dataclasses.replace(odd_instance, legalizers=[identity], report=None)
     report = certify_realization(result)
-    assert report.level == CONDITIONAL
+    assert report.level == FAILED
     assert f"map_g is not legalizing at the stored C = {odd_instance.C}" in report.notes
-
-
-def _clone(result):
-    import copy
-
-    return copy.copy(result)
-
-
-LEVEL_ORDER = {FAILED: 0, CONDITIONAL: 1, FULL_THEOREM: 2}
 
 
 def test_certification_level_monotone(odd_instance):
     """g legalizes at the realized C = 2 and not at C = 1."""
-    result = _clone(odd_instance)
-    result.C = odd_instance.C // 2
-    downgraded = certify_realization(result)
-    result.C = odd_instance.C
-    restored = certify_realization(result)
-    assert (downgraded.level, restored.level) == (CONDITIONAL, FULL_THEOREM)
-    assert LEVEL_ORDER[restored.level] >= LEVEL_ORDER[downgraded.level]
+    downgraded = certify_realization(dataclasses.replace(odd_instance, C=odd_instance.C // 2))
+    restored = certify_realization(odd_instance)
+    assert (downgraded.level, restored.level) == (FAILED, FULL_THEOREM)
+    assert f"map_g is not legalizing at the stored C = {odd_instance.C // 2}" in downgraded.notes
+    assert not any(note.startswith("map_g") for note in restored.notes)
 
 
 def test_index_sum_stays_in_admissible_region(even_instance, max_odd_instance):
@@ -148,13 +141,13 @@ def test_no_short_periodic_classes_on_realization(odd_instance):
 
 def test_report_json_shape(even_instance):
     data = even_instance.report.to_json()
+    assert list(data) == ["level", "train_track", "legalizing_ok", "index_list", "notes"]
     assert data["level"] == "full_theorem_62"
-    assert data["primitivity"]["ok"] is True
-    assert set(data["whitehead"]) == set(even_instance.graph.vertices)
+    assert data["train_track"] is True and data["legalizing_ok"] is True
     assert data["index_list"] == ["1", "1", "1", "1/2", "1/2"]
-    assert data["inp"] == {"verdict": "not_needed"}
     decoded = RealizationResult.from_json(json.loads(json.dumps(even_instance.to_json())))
-    assert certify_realization(decoded).to_json()["inp"] == {"verdict": "not_needed"}
+    assert certify_realization(decoded).to_json() == data
+    # the search no report carries, cross-checked directly
     inp = find_periodic_inps(decoded.final, decoded.gates)
     assert inp.verdict == "none_found"
     assert inp.period_bound == 8 and inp.length_bound == 200
@@ -179,54 +172,44 @@ def with_factor_image(doc: dict, name: str, edge: str, word: list) -> dict:
 def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
     """A document whose g does not legalize at the stored C, whose
     blueprint names another rank than its graph's, one of whose factors
-    is not onto on pi_1, or whose mixing map is not positive, does not get
-    the full certificate, and its notes name the failed hypothesis on
-    every tier.  The bounded search runs only where the conditional tier
-    is still open."""
+    is not onto on pi_1, or whose mixing map is not positive, is graded
+    failed, and its notes name the failed hypothesis.  Its report has the
+    five keys every report has."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
     mixing = [r for r in doc["mixing_factors"] if r["name"] != "link[d]"]
-    edits, note, level = {
+    edits, note = {
         # g legalizes at C = 2, not at half of it: only re-verifying g can tell
         "legalizing": (
             {"legalizing": {"C": 1}},
             "map_g is not legalizing at the stored C = 1",
-            CONDITIONAL,
         ),
         # the same odd case at rank 4, so only the rank itself differs
         "rank": (
             {"blueprint": {**doc["blueprint"], "rank": 4}},
             "the graph's rank is not the blueprint's",
-            CONDITIONAL,
         ),
         # a1 -> c1 c1 a1 a1 is a train track morphism, but its image misses a1
         "stamp": (
             with_factor_image(doc, "stamp[0,1]", "a1", ["c1", "c1", "a1", "a1"]),
             "factor stamp[0,1] is not a homotopy equivalence",
-            FAILED,
         ),
         # c1 -> c1 a1 d sends ~c1 to ~d, and ~a1 to itself: h splits
         # the gate of the two, so it has no gate map and no Whitehead graphs
         "gate_map": (
             with_factor_image(doc, "link[c1]", "c1", ["c1", "a1", "d"]),
             "mixing Whitehead graph disconnected somewhere",
-            FAILED,
         ),
-        # without link[d], h's matrix is not positive: the grade falls back
-        # on the search, and its notes still say why
+        # without link[d], h's matrix is not positive, and the notes say so
         "unmixed": (
             {"mixing_factors": mixing, **stored_chains(mixing, doc["legalizers"])},
             "mixing transition matrix is not positive",
-            CONDITIONAL,
         ),
     }[tamper]
     doc.update(edits)
     report = certify_realization(RealizationResult.from_json(doc))
-    assert report.level == level
+    assert report.level == FAILED
     assert note in report.notes
-    # the conditional tier needs the search; a failed grade here was
-    # settled before it, by a factor that is not onto or a split gate
-    verdict = "none_found" if level == CONDITIONAL else "not_needed"
-    assert report.to_json()["inp"]["verdict"] == verdict
+    assert set(report.to_json()) == REPORT_KEYS
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc))
     assert main(["certify", str(path)]) == 3
@@ -239,7 +222,7 @@ def test_relabelled_blueprint_loses_the_full_tier():
     doc["blueprint"]["entries_doubled"] = [2]
     report = certify_realization(RealizationResult.from_json(doc))
     assert report.index_list == (1,)
-    assert report.level == CONDITIONAL
+    assert report.level == FAILED
     assert "the realized index list is not the blueprint's" in report.notes
 
 
@@ -261,15 +244,18 @@ IGNORED_KEYS = {"selectors", "marking", "search_log"}
 
 def test_documents_in_the_older_format_decode_and_certify():
     """The older legalizing block also stored a verdict and two counters;
-    only C is read, so junk values there change nothing."""
+    only C is read, so junk values there change nothing.  The stored report
+    also held the three keys no grade read; the rest is reproduced."""
     doc = json.loads(OLD_FORMAT.read_text())
     assert IGNORED_KEYS <= set(doc) and "germ_pairing" in doc["blueprint"]
+    assert set(doc["report"]) == REPORT_KEYS | DROPPED_KEYS
+    stored_report = {k: v for k, v in doc["report"].items() if k not in DROPPED_KEYS}
     junk = {**doc, "legalizing": {"C": 2, "checked": "abc", "families": [1], "verdict": 7}}
     for stored in (junk, doc):
         decoded = RealizationResult.from_json(stored)
         report = certify_realization(decoded)
         assert report.level == FULL_THEOREM
-        assert report.to_json() == doc["report"]
+        assert report.to_json() == stored_report
         again = decoded.to_json()
         assert not IGNORED_KEYS & set(again)
         assert set(again["blueprint"]) == {"rank", "entries_doubled"}
@@ -440,7 +426,7 @@ def test_realize_verifies_its_legalizing_map_once(monkeypatch):
 # SHA-256 of json.dumps of each rank 3-4 document and then its certify
 # report, in enumeration order.  A change that alters outputs on purpose
 # updates it and says why.
-RANK_3_AND_4_OUTPUTS = "01cc0e163dd90e8af489b4dc03ffed29bd0582da3017cdcb12d389ea95b303d8"
+RANK_3_AND_4_OUTPUTS = "9e4dd3bf941f3ecf06e611899406137da22c55f9006322443d167b50781c67fd"
 
 
 def test_realize_grades_as_certify_does_on_every_rank_3_and_4_list():

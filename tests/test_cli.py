@@ -9,7 +9,7 @@ from ttrealize.cli import enumerate_admissible, main
 from ttrealize.maps import ComparisonBudgetError
 from ttrealize.realize import LegalizingSearchError, SelectorError
 from ttrealize.traintrack import VerificationBudgetError
-from tests.test_certify import OLD_FORMAT
+from tests.test_certify import DROPPED_KEYS, OLD_FORMAT
 
 
 def test_enumerate_rank_three_lists():
@@ -56,10 +56,13 @@ def test_realize_certify_round_trip(tmp_path, capsys):
 
 def test_certify_reads_a_document_in_the_older_format(tmp_path):
     """A document that still stores the selected paths, the marking and the
-    search log certifies to its stored report."""
+    search log certifies to its stored report, less the keys no grade reads."""
     report_path = tmp_path / "report.json"
     assert main(["certify", str(OLD_FORMAT), "--out", str(report_path)]) == 0
-    assert json.loads(report_path.read_text()) == json.loads(OLD_FORMAT.read_text())["report"]
+    stored = json.loads(OLD_FORMAT.read_text())["report"]
+    assert DROPPED_KEYS <= set(stored)
+    expected = {k: v for k, v in stored.items() if k not in DROPPED_KEYS}
+    assert json.loads(report_path.read_text()) == expected
 
 
 def test_realize_rejects_out_of_range_input(capsys):
@@ -106,8 +109,10 @@ def test_realize_text_format(capsys):
     text = capsys.readouterr().out
     assert "certification level" in text
     assert "full_theorem_62" in text
-    assert "nielsen path search  not_needed" in text.splitlines()
-    assert "legalizing C         2 (240 long turns)" in text.splitlines()
+    lines = text.splitlines()
+    assert "legalizing C         2 (240 long turns)" in lines
+    # no grade reads primitivity or runs the search, so neither is printed
+    assert not any(line.startswith(("primitivity witness", "nielsen path search")) for line in lines)
 
 
 def test_enumerate_text_and_json(tmp_path, capsys):

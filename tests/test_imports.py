@@ -66,3 +66,35 @@ def test_no_package_module_imports_inside_a_function():
     """Every import of the package is at module top, where a cycle shows
     on import."""
     assert by_module(function_local_imports, sorted(PACKAGE.glob("*.py"))) == {}
+
+
+def test_no_test_module_imports_inside_a_function():
+    """The tests import at module top too, so each module's imports are
+    read in one place."""
+    assert by_module(function_local_imports, sorted(TESTS.glob("*.py"))) == {}
+
+
+def names_read(source: str, functions: tuple[str, ...]) -> dict[str, set[str]]:
+    """The names and attribute names each named top-level function reads."""
+    return {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+    }
+
+
+def test_scan_sees_the_names_a_function_reads():
+    source = "def f(g):\n    return g.is_primitive(NONE_FOUND)\ndef h():\n    pass\n"
+    assert names_read(source, ("f",)) == {"f": {"g", "is_primitive", "NONE_FOUND"}}
+
+
+def test_grading_a_realization_reads_no_search_and_no_primitivity():
+    """A realization's two grades rest on the hypotheses of Theorem 6.2
+    alone: the grader reads neither the Nielsen-path search nor the
+    primitivity of final."""
+    graders = ("certify_realization", "grade_realization", "_whitehead_connected")
+    read = names_read((PACKAGE / "certify.py").read_text(encoding="utf-8"), graders)
+    assert set(read) == set(graders)
+    banned = {"find_periodic_inps", "NONE_FOUND", "InpSearchResult", "is_primitive"}
+    assert {name: sorted(names & banned) for name, names in read.items() if names & banned} == {}

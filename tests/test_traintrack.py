@@ -7,7 +7,7 @@ import pytest
 
 from ttrealize import traintrack
 from ttrealize.certify import expanding_power
-from ttrealize.core import GateStructure, Graph, Path, inverse, is_legal_word
+from ttrealize.core import GateStructure, Graph, Path, inverse, is_legal_path, is_legal_word, tighten
 from ttrealize.experiment import sample_positive_automorphism
 from ttrealize.maps import (
     ComparisonBudgetError,
@@ -16,6 +16,7 @@ from ttrealize.maps import (
     MapError,
     compose_maps,
     strip_windows,
+    word_image_window,
 )
 from ttrealize.traintrack import (
     FOUND,
@@ -32,6 +33,7 @@ from ttrealize.traintrack import (
     gate_direction_map,
     gate_index_list,
     intrinsic_gate_structure,
+    is_classical_train_track,
     long_turn_image,
     periodic_vertices,
     verify_legalizing,
@@ -177,8 +179,6 @@ def test_intrinsic_gates_refine_any_working_structure(even_instance):
 
 
 def test_intrinsic_gates_reject_non_train_track(rose2):
-    from ttrealize.traintrack import is_classical_train_track
-
     assert is_classical_train_track(fib(rose2))
     # f(a) = ab, f(b) = ~b: the second iterate of a ends "b ~b", unreduced
     unred = GraphMap(rose2, {"a": ("a", "b"), "b": ("~b",)})
@@ -407,8 +407,6 @@ def test_inp_search_finds_fixed_branch_pair():
     assert period == 1
     assert (x, y) == (("a",), ("b",))
     # the reported pair really is a Nielsen path: x-bar.y is fixed exactly
-    from ttrealize.core import tighten
-
     nielsen = Path("v1", tuple(inverse(t) for t in reversed(x)) + y)
     power = f
     for _ in range(period - 1):
@@ -527,9 +525,6 @@ def test_periodic_vertices(rose2, even_instance):
 
 def test_legal_image_of_legal_paths(even_instance):
     """Randomized: images of legal paths under the final map stay legal."""
-    from ttrealize.core import is_legal_path
-    from ttrealize.maps import word_image_window
-
     graph, gates = even_instance.graph, even_instance.gates
     rng = random.Random(4242)
     for _ in range(20):
