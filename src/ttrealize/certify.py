@@ -34,7 +34,7 @@ from .core import (
     inverse,
     tighten_word,
 )
-from .maps import as_chain, is_homotopy_equivalence, is_positive_pattern
+from .maps import MapChain, is_homotopy_equivalence, is_positive_pattern
 from .traintrack import (
     NONE_FOUND,
     check_train_track_morphism,
@@ -119,7 +119,7 @@ def grade_realization(result, legalizing_ok: bool) -> CertificationReport:
     )
 
 
-def _whitehead_connected(f, gates) -> bool:
+def _whitehead_connected(f: MapChain, gates) -> bool:
     """Whether every vertex's gate-Whitehead graph is connected; a map that
     moves a vertex or splits a gate has none, and fails."""
     return (
@@ -129,7 +129,7 @@ def _whitehead_connected(f, gates) -> bool:
     )
 
 
-def _intrinsic_grade(f):
+def _intrinsic_grade(f: MapChain):
     """(intrinsic gates, their doubled index list at periodic vertices,
     the least expanding power, the Nielsen-path search on that power).
 
@@ -139,7 +139,7 @@ def _intrinsic_grade(f):
     gates = intrinsic_gate_structure(f)
     index_list = gate_index_list(f.graph, gates, sorted(periodic_vertices(f)))
     power = expanding_power(f)
-    inp = None if power is None else find_periodic_inps(as_chain(f).power(power), gates)
+    inp = None if power is None else find_periodic_inps(f.power(power), gates)
     return gates, index_list, power, inp
 
 
@@ -153,7 +153,7 @@ def within_index_bound(graph, doubled: tuple[int, ...]) -> bool:
     return 1 <= sum(doubled) <= 2 * graph.rank - 2
 
 
-def stable_index_list(f) -> tuple[tuple[int, ...], bool]:
+def stable_index_list(f: MapChain) -> tuple[tuple[int, ...], bool]:
     """Gate index list of the intrinsic gates at periodic vertices.
 
     Returns (doubled index list, caveat).  The caveat is set whenever the
@@ -169,14 +169,13 @@ def stable_index_list(f) -> tuple[tuple[int, ...], bool]:
     return (doubled, not (clean and within_index_bound(f.graph, doubled)))
 
 
-def expanding_power(f) -> int | None:
+def expanding_power(f: MapChain) -> int | None:
     """Least k <= 8 with |f^k(e)| >= 2 for every edge, else None.
 
     Images are never tightened, so |f^k(e)| is the column sum of M^k.
     """
-    chain = as_chain(f)
     for k in range(1, 9):
-        power = chain.power(k)
+        power = f.power(k)
         if all(power.image_length(e) >= 2 for e in f.graph.positive_edges):
             return k
     return None
@@ -202,7 +201,7 @@ def cyclically_equal(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
 
 
 def periodic_class_status(
-    f, word: tuple[str, ...], t_max: int = 6, budget: int = 100_000
+    f: MapChain, word: tuple[str, ...], t_max: int = 6, budget: int = 100_000
 ) -> tuple[str, int | None]:
     """Does some f^t-image of the conjugacy class return to it, t <= t_max?
 
@@ -260,7 +259,7 @@ def random_cyclic_words(graph, count: int, max_len: int, seed: int) -> list[tupl
     return words
 
 
-def periodic_class_survey(f, count: int = 50, max_len: int = 6, t_max: int = 6, seed: int = 20240901) -> dict:
+def periodic_class_survey(f: MapChain, count: int = 50, max_len: int = 6, t_max: int = 6, seed: int = 20240901) -> dict:
     """Survey random short conjugacy classes for early recurrence."""
     words = random_cyclic_words(f.graph, count, max_len, seed)
     statuses = [periodic_class_status(f, w, t_max=t_max) for w in words]

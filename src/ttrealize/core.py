@@ -372,8 +372,12 @@ def parse_index_entry(text: str) -> int:
 
 
 def parse_index_list(text: str) -> tuple[int, ...]:
-    """Parse ``"1/2,1,1/2"`` into doubled entries ``(1, 2, 1)`` (input order kept)."""
-    entries = [parse_index_entry(part) for part in text.split(",") if part.strip()]
-    if not entries:
+    """Parse ``"1/2,1,1/2"`` into doubled entries ``(1, 2, 1)`` (input order
+    kept).  An empty entry is an error that names its 1-based position."""
+    if not text.strip():
         raise ValueError("empty index list")
-    return tuple(entries)
+    parts = text.split(",")
+    for position, part in enumerate(parts, start=1):
+        if not part.strip():
+            raise ValueError(f"empty index entry at position {position} of {text!r}")
+    return tuple(parse_index_entry(part) for part in parts)

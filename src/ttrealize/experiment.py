@@ -167,6 +167,8 @@ def run_experiment(rank: int, length: int, samples: int, seed: int) -> Frequency
     Per-sample seeds derive from the master seed and the sample index, so
     any evaluation order produces the same table.
     """
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
     start = time.monotonic()

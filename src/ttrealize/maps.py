@@ -1,19 +1,22 @@
-"""Graph self-maps: materialized maps, factored compositions, transition matrices.
+"""Graph self-maps: validated factors, factored compositions, transition matrices.
 
 Exact transition matrices are the reference; production code asks only
 sign questions (positivity, primitivity), which integer bitsets answer.
 
-A ``GraphMap`` stores explicit edge images.  A ``MapChain`` represents a
-composition of graph maps by its factor list only: compositions built in
-this package routinely have edge images with billions of letters, so a
-chain never materializes them.  Instead the list is a sequence of passes
-over blocks of factors, and one table per block holds the expansion tree
-restricted to the factors that move each token.  ``power`` and ``then``
-build chains whose passes repeat blocks, so h = H H, g = h L h and
-h∘g read two tables; each pass caches what depends on the passes after
-it (exact big-integer lengths among them), and chains that end alike
-share those passes.  Windows, directions, image comparisons and crossed
-turns read the tables through the passes.
+A ``GraphMap`` is one factor: edge images and a vertex map, validated on
+construction, with the token tables that the chain tables, the sign
+algebra and the fold read.  It answers no queries.  A ``MapChain``
+answers every query about a map, a single map being a one-factor chain.
+It represents a composition of factors by its factor list only:
+compositions built in this package routinely have edge images with
+billions of letters, so a chain never materializes them.  Instead the
+list is a sequence of passes over blocks of factors, and one table per
+block holds the expansion tree restricted to the factors that move each
+token.  ``power`` and ``then`` build chains whose passes repeat blocks,
+so h = H H, g = h L h and h∘g read two tables; each pass caches what
+depends on the passes after it (exact big-integer lengths among them),
+and chains that end alike share those passes.  Windows, directions,
+image comparisons and crossed turns read the tables through the passes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .core import Graph, Path, is_positive, positive_label
+from .core import Graph, is_positive, positive_label
 
 
 class MapError(ValueError):
@@ -30,11 +33,12 @@ class MapError(ValueError):
 
 
 class GraphMap:
-    """A graph self-map: vertices to vertices, edges to nonempty edge paths.
+    """One factor: vertices to vertices, edges to nonempty edge paths.
 
     The image of a reversed edge is the reversed image of the edge, by
     construction.  Construction checks the images in one pass through the
-    graph's token tables.  Instances are immutable after creation.
+    graph's token tables.  Instances are immutable after creation.  Queries
+    go through a chain: ``MapChain(graph, [f])`` for a single map.
     """
 
     def __init__(
@@ -123,37 +127,8 @@ class GraphMap:
         }
         return (sum(columns), columns)
 
-    # -- basic queries ---------------------------------------------------
-
     def image_edges(self, token: str) -> tuple[str, ...]:
         return self._images[token]
-
-    def image(self, token: str) -> Path:
-        word = self._images[token]
-        return Path(self.graph.init_of(word[0]), word)
-
-    def image_length(self, token: str) -> int:
-        return len(self._images[token])
-
-    def direction(self, token: str) -> str:
-        return self._images[token][0]
-
-    def fixes_all_vertices(self) -> bool:
-        return all(self.vertex_image[v] == v for v in self.graph.vertices)
-
-    def apply_path(self, path: Path) -> Path:
-        """Image path, concatenated without any tightening."""
-        edges: list[str] = []
-        for token in path.edges:
-            edges.extend(self._images[token])
-        return Path(self.vertex_image[path.start], tuple(edges))
-
-    def word_image_length(self, word: Sequence[str]) -> int:
-        return sum(len(self._images[t]) for t in word)
-
-    @property
-    def factors(self) -> tuple["GraphMap", ...]:
-        return (self,)
 
     # -- constructors ------------------------------------------------------
 
@@ -217,7 +192,8 @@ def compose_maps(f: GraphMap, g: GraphMap) -> GraphMap:
     if f.graph is not g.graph and f.graph.to_json() != g.graph.to_json():
         raise MapError("compose_maps needs maps on the same graph")
     images = {
-        e: f.apply_path(g.image(e)).edges for e in g.graph.positive_edges
+        e: tuple(t for token in g.image_edges(e) for t in f.image_edges(token))
+        for e in g.graph.positive_edges
     }
     vmap = {v: f.vertex_image[g.vertex_image[v]] for v in g.graph.vertices}
     return GraphMap(g.graph, images, vmap)
@@ -235,7 +211,7 @@ def is_homotopy_equivalence(f: GraphMap) -> bool:
     so ``f`` is onto exactly when no fresh vertex survives and every moved
     edge is present, once by construction.
     """
-    if not f.fixes_all_vertices():
+    if any(w != v for v, w in f.vertex_image.items()):
         return False
     inits, terms, inverses, moved = f.graph.inits, f.graph.terms, f.graph.inverses, f.touched_tokens
     vertices, parent, out, merges, fresh = set(f.graph.vertices), {}, {}, [], []
@@ -324,26 +300,16 @@ class TransitionMatrix:
         return all(all(x > 0 for x in row) for row in self.rows)
 
 
-def transition_matrix(f) -> TransitionMatrix:
-    """Exact transition matrix of a map or chain: the product over its factors."""
-    chain = as_chain(f)
-    labels = tuple(f.graph.positive_edges)
+def transition_matrix(chain: MapChain) -> TransitionMatrix:
+    """Exact transition matrix of a chain: the product over its factors of
+    each factor's crossing counts."""
+    labels = tuple(chain.graph.positive_edges)
     result = TransitionMatrix.identity(labels)
     for factor in chain.factors:
-        result = _single_transition_matrix(factor, labels) @ result
+        crossed = [[positive_label(t) for t in factor.image_edges(e)] for e in labels]
+        counts = tuple(tuple(column.count(row) for column in crossed) for row in labels)
+        result = TransitionMatrix(labels, counts) @ result
     return result
-
-
-def _single_transition_matrix(f: GraphMap, labels: tuple[str, ...]) -> TransitionMatrix:
-    index = {lab: i for i, lab in enumerate(labels)}
-    cols = []
-    for e in labels:
-        col = [0] * len(labels)
-        for token in f.image_edges(e):
-            col[index[positive_label(token)]] += 1
-        cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(len(labels))) for i in range(len(labels)))
-    return TransitionMatrix(labels, rows)
 
 
 def is_positive_pattern(columns: Sequence[int]) -> bool:
@@ -352,16 +318,13 @@ def is_positive_pattern(columns: Sequence[int]) -> bool:
     return all(col == full for col in columns)
 
 
-def is_primitive(m: TransitionMatrix | Sequence[int]) -> tuple[bool, int | None]:
+def is_primitive(m: Sequence[int]) -> tuple[bool, int | None]:
     """Least t with M^t entrywise positive, over the boolean semiring.
 
-    ``m`` is an exact matrix, read by rows, or a sign pattern as column
-    bitsets; M and its transpose have the same positive powers.  The
-    Wielandt bound (n-1)^2 + 1 makes the search complete: a primitive
+    ``m`` is a sign pattern as column bitsets (``MapChain.sign_pattern``).
+    The Wielandt bound (n-1)^2 + 1 makes the search complete: a primitive
     n x n matrix always has a positive power within it.
     """
-    if isinstance(m, TransitionMatrix):
-        m = [sum(1 << j for j, x in enumerate(row) if x > 0) for row in m.rows]
     n = len(m)
     if n == 0:
         return (False, None)
@@ -559,9 +522,10 @@ class _Pass:
 
 
 class MapChain:
-    """A composition of graph maps, stored as a list of passes over blocks.
+    """A composition of factors, stored as a list of passes over blocks.
 
-    ``factors`` is the whole factor list, ``factors[0]`` applied first.
+    The only map type that answers queries; a single map is a one-factor
+    chain.  ``factors`` is the whole factor list, ``factors[0]`` applied first.
     It is cut into blocks (``blocks``), each with one ``_ChainTable``: a
     chain made by ``MapChain(graph, factors)`` is one block, and ``power``
     and ``then`` make chains whose blocks repeat, so a chain such as
@@ -680,7 +644,8 @@ class MapChain:
         """Letters [start, start+count) of the image of ``token``."""
         return word_image_window(self, (token,), start, count)
 
-    def materialize(self) -> GraphMap:
+    def materialize(self) -> "MapChain":
+        """The same map as a one-factor chain over its spelled-out images."""
         total = sum(self.image_length(e) for e in self.graph.positive_edges)
         if total > MATERIALIZE_BUDGET:
             raise MapError(
@@ -690,16 +655,10 @@ class MapChain:
             e: tuple(self.image_window(e, 0, self.image_length(e)))
             for e in self.graph.positive_edges
         }
-        return GraphMap(self.graph, images, dict(self.vertex_image))
+        return MapChain(self.graph, [GraphMap(self.graph, images, dict(self.vertex_image))])
 
     def __repr__(self) -> str:
         return f"MapChain({len(self.factors)} factors)"
-
-
-def as_chain(f) -> MapChain:
-    if isinstance(f, MapChain):
-        return f
-    return MapChain(f.graph, [f])
 
 
 class ComparisonBudgetError(RuntimeError):

@@ -3,8 +3,9 @@
 The marking identifies pi_1 of a graph with the free group on abstract
 generators ``x1..xN`` via a spanning tree; a graph self-map fixing the
 basepoint then induces an endomorphism, read off by collapsing the tree.
-This is reference code for the tests: ``certify`` and ``realize`` check
-invertibility with ``maps.is_homotopy_equivalence`` and never call it.
+This is reference code for the tests, and it reads one factor's images:
+``certify`` and ``realize`` check invertibility with
+``maps.is_homotopy_equivalence`` and never call it.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def pi1_automorphism(f: GraphMap, marking: Pi1Marking) -> dict[str, tuple[str, .
     """The endomorphism induced on pi_1 by a basepoint-fixing map.
 
     Returns generator token -> reduced word of generator tokens, read off
-    the materialized images of the basis loops.
+    the images of the basis loops, spelled out letter by letter.
     """
     base = marking.basepoint
     if f.vertex_image[base] != base:
@@ -122,7 +123,8 @@ def pi1_automorphism(f: GraphMap, marking: Pi1Marking) -> dict[str, tuple[str, .
     for e in marking.graph.positive_edges:
         if e not in marking.basis:
             continue
-        image = f.apply_path(basis_loop(marking, e))
+        loop = basis_loop(marking, e).edges
+        image = Path(base, tuple(x for t in loop for x in f.image_edges(t)))
         out[marking.basis[e]] = path_to_word(marking, image)
     return out
 

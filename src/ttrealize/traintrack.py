@@ -7,8 +7,9 @@ track test and the intrinsic gates both read one table of eventual
 directions, ``Df^D`` for ``D`` the number of directions; the periodic
 vertices are the image of the same power of the vertex map.
 
-Maps may be materialized (``GraphMap``) or factored (``MapChain``),
-except in ``long_turn_image``, which spells its branches out.  The
+Every map is a ``MapChain``, a single map a one-factor chain.  Only the
+train track morphism test reads factors (``GraphMap``) one at a time, and
+only ``long_turn_image`` spells a factor's branch images out.  The
 verifiers work through exact lengths, lazy letter windows and the chain
 tables' crossed turns, so nothing here ever materializes a composed edge
 image.
@@ -34,7 +35,6 @@ from .maps import (
     GraphMap,
     MapChain,
     MapError,
-    as_chain,
     compare_image_words,
     strip_windows,
 )
@@ -96,12 +96,12 @@ def illegal_turns(graph: Graph, gates: GateStructure) -> list[Turn]:
 # -- direction maps ------------------------------------------------------------
 
 
-def direction_map(f) -> dict[str, str]:
+def direction_map(f: MapChain) -> dict[str, str]:
     """Initial-edge map on all directed edges (defined: no contracted edges)."""
     return {t: f.direction(t) for t in f.graph.directed_edges}
 
 
-def gate_direction_map(f, gates: GateStructure) -> dict[int, int] | None:
+def gate_direction_map(f: MapChain, gates: GateStructure) -> dict[int, int] | None:
     """The induced map on gates, or None if some gate's directions split."""
     out: dict[int, int] = {}
     for gid, members in enumerate(gates.gates):
@@ -112,7 +112,7 @@ def gate_direction_map(f, gates: GateStructure) -> dict[int, int] | None:
     return out
 
 
-def fixes_all_gates(f, gates: GateStructure) -> bool:
+def fixes_all_gates(f: MapChain, gates: GateStructure) -> bool:
     """Whether every gate maps to itself, that is every direction lands in
     its own gate."""
     gate_of = gates.gate_of
@@ -132,15 +132,15 @@ class TrainTrackDiagnostics:
         return not (self.illegal_images or self.illegal_turn_images)
 
 
-def check_train_track_morphism(f, gates: GateStructure) -> TrainTrackDiagnostics:
+def check_train_track_morphism(f: MapChain, gates: GateStructure) -> TrainTrackDiagnostics:
     """Verify the train track morphism conditions with respect to ``gates``.
 
-    Every distinct factor is checked directly, once and in chain order, and
-    a single map is its own one factor.  A chain of train track morphisms
-    is again one, so nothing is checked on the composite itself: its images
-    are nonempty, legal edge images stay legal through maps that send legal
-    paths to legal paths, and its direction map, the composite of the
-    factors' direction maps, sends legal turns to legal turns.  No edge
+    Every distinct factor is checked directly, once and in chain order,
+    from its own images, never through a chain.  A chain of train track
+    morphisms is again one, so nothing is checked on the composite itself:
+    its images are nonempty, legal edge images stay legal through maps that
+    send legal paths to legal paths, and its direction map, the composite
+    of the factors' direction maps, sends legal turns to legal turns.  No edge
     image is ever empty: ``GraphMap`` rejects contracted edges.  A factor
     is read only where it moves: an edge it fixes has a legal one-letter
     image.
@@ -161,7 +161,8 @@ def _illegal_legal_turn_images(f: GraphMap, gates: GateStructure) -> list[tuple[
     """The legal turns that ``f`` maps to illegal or degenerate ones, in
     the order of ``turns_at``.  Only the pairs with a moved direction are
     read: a turn whose directions both stay put maps to itself."""
-    moved = {t for t in f.touched_tokens if f.direction(t) != t}
+    image = f.image_edges
+    moved = {t for t in f.touched_tokens if image(t)[0] != t}
     bad = []
     for v in f.graph.vertices:
         edges = f.graph.edges_at(v)
@@ -170,7 +171,7 @@ def _illegal_legal_turn_images(f: GraphMap, gates: GateStructure) -> list[tuple[
         # the pairs of turns_at, made into Turns only when reported
         for a, b in itertools.combinations(edges, 2):
             if (a in moved or b in moved) and gates.is_legal_turn(a, b):
-                da, db = f.direction(a), f.direction(b)
+                da, db = image(a)[0], image(b)[0]
                 if da == db or not gates.is_legal_turn(da, db):
                     bad.append(Turn(a, b).tokens())
     return bad
@@ -192,22 +193,22 @@ def _settled(step: dict[str, str]) -> dict[str, str]:
     return out
 
 
-def is_classical_train_track(f) -> bool:
+def is_classical_train_track(f: MapChain) -> bool:
     """All iterated edge images reduced: no taken turn ever degenerates.
 
     The taken turns are those crossed by single edge images, read exactly
-    from the chain tables for a map and a chain alike; they are closed
-    under the direction map, and some ``f^t(e)`` is unreduced iff some
-    taken turn has equal eventual directions.
+    from the chain tables; they are closed under the direction map, and
+    some ``f^t(e)`` is unreduced iff some taken turn has equal eventual
+    directions.
     """
     return _keeps_taken_turns(f, _settled(direction_map(f)))
 
 
-def _keeps_taken_turns(f, eventual: dict[str, str]) -> bool:
-    return all(eventual[x] != eventual[y] for x, y in as_chain(f).crossed_turns)
+def _keeps_taken_turns(f: MapChain, eventual: dict[str, str]) -> bool:
+    return all(eventual[x] != eventual[y] for x, y in f.crossed_turns)
 
 
-def intrinsic_gate_structure(f) -> GateStructure:
+def intrinsic_gate_structure(f: MapChain) -> GateStructure:
     """Gates by eventual direction collision: Df^t(e) = Df^t(e') for some t.
 
     Directions share a gate when they share their initial vertex and their
@@ -256,7 +257,7 @@ class WhiteheadGraph:
         return len(self.edges) == want
 
 
-def whitehead_graphs(f, gates: GateStructure) -> dict[str, WhiteheadGraph]:
+def whitehead_graphs(f: MapChain, gates: GateStructure) -> dict[str, WhiteheadGraph]:
     """Gate-Whitehead graphs at every vertex, by crossing-set transfer.
 
     The crossed gate pairs of all iterated images are the closure of the
@@ -264,13 +265,13 @@ def whitehead_graphs(f, gates: GateStructure) -> dict[str, WhiteheadGraph]:
     bounded by the number of gate pairs, so the iteration stabilizes.
     """
     graph = f.graph
-    if not all(f.vertex_image[v] == v for v in graph.vertices):
+    if not f.fixes_all_vertices():
         raise MapError("Whitehead graphs need a map fixing every vertex")
     gmap = gate_direction_map(f, gates)
     if gmap is None:
         raise MapError("map is not a train track morphism for these gates")
     pairs = set()
-    for (x, y) in as_chain(f).crossed_turns:
+    for (x, y) in f.crossed_turns:
         ga, gb = gates.gate_of(x), gates.gate_of(y)
         pairs.add((ga, gb) if ga <= gb else (gb, ga))
     while True:
@@ -362,20 +363,18 @@ def count_long_turns(graph: Graph, gates: GateStructure, length: int) -> int:
     return total
 
 
-def long_turn_image(g, lt: LongTurn) -> LongTurn | None:
+def long_turn_image(g: GraphMap, lt: LongTurn) -> LongTurn | None:
     """The image long turn after erasing the common initial subpath.
 
     Returns None when one branch image is a subpath of the other (the long
     turn is not g-long).  Branch lengths of the image may differ; truncate
     to the shorter one when a fixed branch length is needed downstream.
-    ``g`` is a materialized map, whose ``apply_path`` spells the branches.
+    ``g`` is one factor, whose images spell the branches out.
     """
-    la = g.word_image_length(lt.branch_a.edges)
-    lb = g.word_image_length(lt.branch_b.edges)
-    if max(la, lb) > LONG_TURN_IMAGE_BUDGET:
+    branches = (lt.branch_a.edges, lt.branch_b.edges)
+    if max(sum(len(g.image_edges(t)) for t in b) for b in branches) > LONG_TURN_IMAGE_BUDGET:
         raise MapError("long turn image exceeds materialization budget")
-    wa = g.apply_path(lt.branch_a).edges
-    wb = g.apply_path(lt.branch_b).edges
+    wa, wb = (tuple(x for t in b for x in g.image_edges(t)) for b in branches)
     cut = 0
     limit = min(len(wa), len(wb))
     while cut < limit and wa[cut] == wb[cut]:
@@ -427,7 +426,7 @@ class _Failure(Exception):
         self.image_turn = image_turn
 
 
-def verify_legalizing(g, gates: GateStructure, branch_length: int) -> LegalizingCertificate:
+def verify_legalizing(g: MapChain, gates: GateStructure, branch_length: int) -> LegalizingCertificate:
     """Decide whether every long turn in LT_C is g-long with legal image.
 
     Long turns are resolved family-wise: once the branch images diverge,
@@ -438,7 +437,6 @@ def verify_legalizing(g, gates: GateStructure, branch_length: int) -> Legalizing
     every C' >= C, since longer long turns contain checked ones as
     subturns and images only extend.
     """
-    chain = as_chain(g)
     graph = g.graph
     families = 0
 
@@ -449,7 +447,7 @@ def verify_legalizing(g, gates: GateStructure, branch_length: int) -> Legalizing
             raise VerificationBudgetError(
                 f"legalizing verification exceeded {LEGALIZING_FAMILY_BUDGET} families"
             )
-        outcome = compare_image_words(chain, br_a, br_b)
+        outcome = compare_image_words(g, br_a, br_b)
         if outcome[0] == "diverge":
             _, _, la, lb = outcome
             if gates.is_legal_turn(la, lb):
@@ -514,7 +512,7 @@ class InpSearchResult:
     notes: tuple[str, ...] = ()
 
 
-def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
+def find_periodic_inps(f: MapChain, gates: GateStructure) -> InpSearchResult:
     """Bounded search for periodic Nielsen paths with vertex endpoints.
 
     For each illegal turn (e, e') and period p up to INP_PERIOD_BOUND, a
@@ -531,7 +529,7 @@ def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
     budget is taken twice at one power: the states of one search settle
     into a fixed state or a swapped 2-cycle (x, y) -> (y, x) -> (x, y),
     and searches from different turns meet.  Images are never tightened,
-    so f^p = f^q after f^(p-q) letter by letter, and ``base.power(p)`` ends
+    so f^p = f^q after f^(p-q) letter by letter, and ``f.power(p)`` ends
     in the passes of every lower power q: where a strip step at p meets
     two different letters a and b at the top of power q, it reads the
     step of the single-letter state ((a,), (b,)) from q's table, made
@@ -549,7 +547,6 @@ def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
     for e in graph.positive_edges:
         if f.image_length(e) < 2:
             raise MapError(f"expansion required: |f({e})| < 2")
-    base = as_chain(f)
     # direction orbits up to the period bound
     df = direction_map(f)
     dirs = {t: [t] for t in graph.directed_edges}
@@ -562,8 +559,8 @@ def find_periodic_inps(f, gates: GateStructure) -> InpSearchResult:
 
     def table(p: int) -> StripSteps:
         if p not in tables:
-            lower = {base.power(q): (lambda a, b, q=q: table(q).lookup(a, b)) for q in range(1, p)}
-            tables[p] = StripSteps(base.power(p), notes, lower)
+            lower = {f.power(q): (lambda a, b, q=q: table(q).lookup(a, b)) for q in range(1, p)}
+            tables[p] = StripSteps(f.power(p), notes, lower)
         return tables[p]
 
     for turn in illegal_turns(graph, gates):
@@ -689,6 +686,6 @@ def gate_index_list(
     return canonical_index_list(doubled)
 
 
-def periodic_vertices(f) -> frozenset[str]:
+def periodic_vertices(f: MapChain) -> frozenset[str]:
     """The vertices on cycles of the vertex map."""
     return frozenset(_settled(f.vertex_image).values())

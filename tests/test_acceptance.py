@@ -10,7 +10,7 @@ import pytest
 
 from ttrealize.cli import enumerate_admissible
 from ttrealize.core import canonical_index_list
-from ttrealize.maps import GraphMap, compose_maps, is_homotopy_equivalence, transition_matrix
+from ttrealize.maps import GraphMap, MapChain, compose_maps, is_homotopy_equivalence, transition_matrix
 from ttrealize.traintrack import (
     find_periodic_inps,
     intrinsic_gate_structure,
@@ -123,7 +123,7 @@ def test_criterion_3_per_construction_properties(sweep):
         legalizer = result.legalizers[0].map
         length = bp.circle_length + 1
         images_a, images_b = (
-            [legalizer.apply_path(graph.path("v1", word)).edges
+            [tuple(x for t in graph.path("v1", word).edges for x in legalizer.image_edges(t))
              for word in legal_paths_from(graph, gates, first, length)]
             for first in ("a1", "c1")
         )
@@ -149,10 +149,8 @@ def test_criterion_3_per_construction_properties(sweep):
         graph = random_graph(rng)
         f = random_self_map(graph, rng)
         g = random_self_map(graph, rng)
-        assert (
-            transition_matrix(compose_maps(f, g)).rows
-            == (transition_matrix(f) @ transition_matrix(g)).rows
-        )
+        fg, f, g = (MapChain(graph, [m]) for m in (compose_maps(f, g), f, g))
+        assert transition_matrix(fg).rows == (transition_matrix(f) @ transition_matrix(g)).rows
     print(
         "ACCEPTANCE 3c: PASS - transition matrices multiply across 200 random"
         " composable pairs on graphs with at most 8 working edges"
@@ -173,7 +171,7 @@ def test_criterion_4_nielsen_path_behavior(sweep, rose2):
         inp = find_periodic_inps(result.final, result.gates)
         assert inp.verdict == "none_found", result.blueprint
         assert inp.period_bound == 8 and inp.length_bound == 200
-    fib = GraphMap(rose2, {"a": ("a", "b"), "b": ("a",)})
+    fib = MapChain(rose2, [GraphMap(rose2, {"a": ("a", "b"), "b": ("a",)})])
     status, t = periodic_class_status(fib, ("a", "b", "~a", "~b"), t_max=6)
     assert (status, t) == ("recurrent", 2)
     print(

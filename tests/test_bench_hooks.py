@@ -8,8 +8,9 @@ reads strip-search time and counters under the
 decodes and certifies a realization and grades one experiment sample,
 and the layers the benchmark's read side and experiment report must have
 been entered, not only wrapped; the encode hook also reads ``final``'s
-image lengths.  The install runs in a subprocess because it rebinds
-module globals for good.
+image lengths, and the materialize hook those of the one-factor chain
+that ``MapChain.materialize`` returns.  The install runs in a subprocess
+because it rebinds module globals for good.
 """
 
 import subprocess
@@ -34,8 +35,11 @@ result = ttrealize.realize(3, (1,))
 doc = json.loads(json.dumps(result.to_json()))
 decoded = ttrealize.RealizationResult.from_json(doc)
 assert ttrealize.certify_realization(decoded).level == "full_theorem_62"
-ttrealize.experiment.grade_sample(ttrealize.sample_positive_automorphism(3, 8, 1))
+sample = ttrealize.sample_positive_automorphism(3, 8, 1)
+ttrealize.experiment.grade_sample(sample)
+assert len(sample.materialize().factors) == 1
 assert tracer.counters["realize.final_letters"] > 0
+assert tracer.counters["maps.materialize.letters"] > 0
 print(" ".join(f"{{name}}={{row['calls']}}" for name, row in sorted(tracer.layer_totals().items())))
 """
 
@@ -46,6 +50,7 @@ ENTERED = (
     "realize.from_json",
     "certify.certify_realization",
     "experiment.grade_sample",
+    "maps.materialize",
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from ttrealize.cli import main
 from ttrealize.experiment import run_experiment
-from ttrealize.maps import GraphMap, MapError, TransitionMatrix, _ChainTable
+from ttrealize.maps import GraphMap, MapChain, MapError, TransitionMatrix, _ChainTable
 from ttrealize.marking import build_marking, pi1_automorphism
 from ttrealize.realize import (
     FactorRecord,
@@ -83,7 +83,7 @@ def test_index_sum_stays_in_admissible_region(even_instance, max_odd_instance):
 
 
 def test_stable_index_list_fibonacci(rose2):
-    doubled, caveat = stable_index_list(fib(rose2))
+    doubled, caveat = stable_index_list(MapChain(rose2, [fib(rose2)]))
     assert doubled == (1,)
     assert caveat  # the search had to run on a power: coverage is thinned
 
@@ -95,14 +95,14 @@ def test_stable_index_list_on_realization(odd_instance):
 
 
 def test_stable_index_list_edge_permutation(rose2):
-    swap = GraphMap(rose2, {"a": ("b",), "b": ("a",)})
+    swap = MapChain(rose2, [GraphMap(rose2, {"a": ("b",), "b": ("a",)})])
     doubled, caveat = stable_index_list(swap)
     assert caveat  # no positive power expands
     assert expanding_power(swap) is None
 
 
 def test_stable_index_list_needs_train_track(rose2):
-    unred = GraphMap(rose2, {"a": ("a", "b"), "b": ("~b",)})
+    unred = MapChain(rose2, [GraphMap(rose2, {"a": ("a", "b"), "b": ("~b",)})])
     with pytest.raises(MapError):
         stable_index_list(unred)
 
@@ -125,7 +125,7 @@ def test_fibonacci_commutator_class_is_periodic(rose2):
     once = cyclic_tighten(tuple(image))
     inverse_class = cyclic_tighten(tuple(reversed([_inv(t) for t in word])))
     assert cyclically_equal(once, inverse_class)
-    status, t = periodic_class_status(f, word, t_max=4)
+    status, t = periodic_class_status(MapChain(rose2, [f]), word, t_max=4)
     assert (status, t) == ("recurrent", 2)
 
 

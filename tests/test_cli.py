@@ -142,10 +142,23 @@ def test_search_bound_flags_are_gone(capsys, argv):
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
-def test_experiment_negative_samples_exits_two(capsys):
-    code = main(["experiment", "--rank", "3", "--length", "5", "--samples", "-2"])
+@pytest.mark.parametrize("length, samples, message", [
+    pytest.param("5", "-2", "samples must be at least 0, got -2", id="negative_samples"),
+    pytest.param("0", "0", "length must be at least 1, got 0", id="zero_length"),
+    pytest.param("-4", "1", "length must be at least 1, got -4", id="negative_length"),
+])
+def test_experiment_out_of_range_exits_two(capsys, length, samples, message):
+    """A sample count below 0 or a length below 1 is rejected before any
+    sampling, with exit 2 and the range it missed."""
+    code = main(["experiment", "--rank", "3", "--length", length, "--samples", samples])
     assert code == 2
-    assert "samples must be at least 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
+def test_realize_rejects_an_empty_index_entry(capsys):
+    code = main(["realize", "--rank", "3", "--index-list", "1/2,,"])
+    assert code == 2
+    assert "empty index entry at position 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module, name, error", [

@@ -151,6 +151,11 @@ def test_index_list_parsing_and_formatting():
         parse_index_list("1/3")
     with pytest.raises(ValueError):
         parse_index_list("")
+    # an empty entry is an error naming its position, never skipped
+    for text, position in (("1/2,,1", 2), (",1", 1), ("1,", 2), ("1/2, ,", 2)):
+        with pytest.raises(ValueError, match=f"empty index entry at position {position} "):
+            parse_index_list(text)
+    assert parse_index_list(" 1/2 , 1 ") == (1, 2)
 
 
 def test_path_validity_checks(even_graph):

@@ -39,11 +39,12 @@ def test_same_seed_gives_identical_map():
 def test_samples_stay_positive_and_train_track():
     for seed in range(6):
         chain = sample_positive_automorphism(3, 12, seed)
-        f = chain.materialize()
+        dense = chain.materialize()
+        (f,) = dense.factors
         for e in f.graph.positive_edges:
             assert all(is_positive(t) for t in f.image_edges(e))
-        gates = intrinsic_gate_structure(f)
-        assert check_train_track_morphism(f, gates).ok
+        gates = intrinsic_gate_structure(dense)
+        assert check_train_track_morphism(dense, gates).ok
 
 
 def test_grading_respects_index_bound():

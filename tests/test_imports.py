@@ -98,3 +98,80 @@ def test_grading_a_realization_reads_no_search_and_no_primitivity():
     assert set(read) == set(graders)
     banned = {"find_periodic_inps", "NONE_FOUND", "InpSearchResult", "is_primitive"}
     assert {name: sorted(names & banned) for name, names in read.items() if names & banned} == {}
+
+
+# the queries a factor shared with a chain before chains alone answered them
+DROPPED_FACTOR_QUERIES = {
+    "image", "image_length", "direction", "apply_path", "word_image_length", "factors",
+    "fixes_all_vertices",
+}
+MAP_TYPES = {"GraphMap", "MapChain"}
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name a definition, import alias, name or attribute binds or reads."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.alias)):
+        return node.name
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def map_type_dispatch(source: str) -> list[str]:
+    """Every definition or use of ``as_chain``, and every ``isinstance``
+    call that names a map type, with their lines.  ``GraphMap`` checking
+    its own type inside its class body (its ``__eq__``) is no dispatch
+    between the two types, and is not reported."""
+    tree = ast.parse(source)
+    own = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "GraphMap"
+        for node in ast.walk(cls)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if _name(node) == "as_chain":
+            found.add((node.lineno, "as_chain"))
+        if isinstance(node, ast.Call) and _name(node.func) == "isinstance":
+            types = MAP_TYPES & {_name(n) for n in ast.walk(node.args[-1])}
+            if id(node) in own:
+                types.discard("GraphMap")
+            if types:
+                found.add((node.lineno, "isinstance with " + ", ".join(sorted(types))))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scan_sees_map_type_dispatch():
+    source = (
+        "from .maps import as_chain\n"
+        "def as_chain(f):\n"
+        "    return f if isinstance(f, (maps.MapChain, int)) else MapChain(f.graph, [f])\n"
+        "class GraphMap:\n"
+        "    def __eq__(self, other):\n"
+        "        return isinstance(other, GraphMap) and not isinstance(other, MapChain)\n"
+        "def f(x):\n"
+        "    return isinstance(x, GraphMap), ttrealize.maps.as_chain(x)\n"
+    )
+    assert map_type_dispatch(source) == [
+        "line 1: as_chain",
+        "line 2: as_chain",
+        "line 3: isinstance with MapChain",
+        "line 6: isinstance with MapChain",
+        "line 8: as_chain",
+        "line 8: isinstance with GraphMap",
+    ]
+
+
+def test_a_factor_answers_no_queries_and_nothing_dispatches_on_map_type():
+    """A ``GraphMap`` is a validated factor and a ``MapChain`` answers every
+    query: no package module converts between the two or dispatches on
+    them, and ``GraphMap`` defines none of the queries a chain answers."""
+    assert by_module(map_type_dispatch, sorted(PACKAGE.glob("*.py"))) == {}
+    tree = ast.parse((PACKAGE / "maps.py").read_text(encoding="utf-8"))
+    (factor,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GraphMap"]
+    defined = {n.name for n in factor.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    defined |= {t.id for n in factor.body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+    assert sorted(defined & DROPPED_FACTOR_QUERIES) == []

@@ -272,9 +272,10 @@ def test_max_odd_legalizer_on_single_circle():
 def test_every_factor_is_train_track_and_fixes_gates(max_odd_instance):
     gates = max_odd_instance.gates
     for rec in max_odd_instance.mixing_factors + max_odd_instance.legalizers:
-        assert check_train_track_morphism(rec.map, gates).ok, rec.name
-        assert rec.map.fixes_all_vertices(), rec.name
-        assert fixes_all_gates(rec.map, gates), rec.name
+        one = MapChain(max_odd_instance.graph, [rec.map])
+        assert check_train_track_morphism(one, gates).ok, rec.name
+        assert one.fixes_all_vertices(), rec.name
+        assert fixes_all_gates(one, gates), rec.name
         for e in max_odd_instance.graph.positive_edges:
             if rec.name.startswith(("link", "stamp")):
                 # the image of every edge crosses the edge itself

@@ -45,7 +45,7 @@ from test_maps import random_graph, random_self_map
 
 
 def fib(rose2):
-    return GraphMap(rose2, {"a": ("a", "b"), "b": ("a",)})
+    return MapChain(rose2, [GraphMap(rose2, {"a": ("a", "b"), "b": ("a",)})])
 
 
 # -- direction maps -----------------------------------------------------------
@@ -57,13 +57,13 @@ def test_direction_map_fibonacci(rose2):
 
 
 def test_direction_map_identity(rose2):
-    df = direction_map(GraphMap.identity(rose2))
+    df = direction_map(MapChain(rose2, [GraphMap.identity(rose2)]))
     assert all(df[t] == t for t in rose2.directed_edges)
 
 
 def test_direction_map_of_anchor_stamp(even_instance):
     rec = next(r for r in even_instance.mixing_factors if r.name.startswith("stamp"))
-    df = direction_map(rec.map)
+    df = direction_map(MapChain(even_instance.graph, [rec.map]))
     assert df["a1"] == rec.map.image_edges("a1")[0]
 
 
@@ -71,15 +71,14 @@ def test_direction_map_of_anchor_stamp(even_instance):
 
 
 def test_identity_is_train_track(even_instance):
-    diag = check_train_track_morphism(
-        GraphMap.identity(even_instance.graph), even_instance.gates
-    )
+    graph = even_instance.graph
+    diag = check_train_track_morphism(MapChain(graph, [GraphMap.identity(graph)]), even_instance.gates)
     assert diag.ok
 
 
 def test_unreduced_image_fails(rose2):
     bad = GraphMap(rose2, {"a": ("a", "~a", "a"), "b": ("b",)})
-    diag = check_train_track_morphism(bad, GateStructure.singletons(rose2))
+    diag = check_train_track_morphism(MapChain(rose2, [bad]), GateStructure.singletons(rose2))
     assert "a" in diag.illegal_images
 
 
@@ -116,7 +115,8 @@ def test_factor_checks_read_only_what_moves_yet_match_full_checks():
             f = sparse_factor(graph, rng) if rng.random() < 0.5 else random_self_map(graph, rng, rng.randint(1, 2))
         except ValueError:
             continue
-        df = direction_map(f)
+        chain = MapChain(graph, [f])
+        df = direction_map(chain)
         want = TrainTrackDiagnostics(
             tuple(e for e in graph.positive_edges if not is_legal_word(f.image_edges(e), gates)),
             tuple(
@@ -127,11 +127,10 @@ def test_factor_checks_read_only_what_moves_yet_match_full_checks():
                 and (df[a] == df[b] or not gates.is_legal_turn(df[a], df[b]))
             ),
         )
-        assert check_train_track_morphism(f, gates) == want
-        gmap = gate_direction_map(f, gates)
+        assert check_train_track_morphism(chain, gates) == want
+        gmap = gate_direction_map(chain, gates)
         fixes = gmap is not None and all(k == v for k, v in gmap.items())
-        assert fixes_all_gates(f, gates) == fixes
-        assert fixes_all_gates(MapChain(graph, [f]), gates) == fixes
+        assert fixes_all_gates(chain, gates) == fixes
         seen["bad_image"] += bool(want.illegal_images)
         seen["bad_turn"] += bool(want.illegal_turn_images)
         seen["ok"] += want.ok
@@ -158,7 +157,7 @@ def test_intrinsic_gates_fibonacci(rose2):
 
 def test_intrinsic_gates_of_permutation(rose2):
     swap = GraphMap(rose2, {"a": ("b",), "b": ("a",)})
-    gates = intrinsic_gate_structure(swap)
+    gates = intrinsic_gate_structure(MapChain(rose2, [swap]))
     assert all(len(g) == 1 for g in gates.gates)
 
 
@@ -183,16 +182,18 @@ def test_intrinsic_gates_reject_non_train_track(rose2):
     # f(a) = ab, f(b) = ~b: the second iterate of a ends "b ~b", unreduced
     unred = GraphMap(rose2, {"a": ("a", "b"), "b": ("~b",)})
     assert compose_maps(unred, unred).image_edges("a") == ("a", "b", "~b")
-    assert not is_classical_train_track(unred)
+    chain = MapChain(rose2, [unred])
+    assert not is_classical_train_track(chain)
     with pytest.raises(MapError):
-        intrinsic_gate_structure(unred)
+        intrinsic_gate_structure(chain)
 
 
 # -- Whitehead graphs -------------------------------------------------------------
 
 
 def test_whitehead_identity_is_empty(even_instance):
-    wh = whitehead_graphs(GraphMap.identity(even_instance.graph), even_instance.gates)["v1"]
+    graph = even_instance.graph
+    wh = whitehead_graphs(MapChain(graph, [GraphMap.identity(graph)]), even_instance.gates)["v1"]
     assert wh.edges == frozenset()
     assert not wh.is_connected() or len(wh.nodes) == 1
 
@@ -216,15 +217,15 @@ def test_whitehead_max_odd_connected_with_loop_link(max_odd_instance):
 
 
 def test_whitehead_union_under_composition(even_instance):
-    recs = even_instance.mixing_factors
+    recs, graph = even_instance.mixing_factors, even_instance.graph
     f1, f2 = recs[0].map, recs[-1].map
     gates = even_instance.gates
-    composite = compose_maps(f1, f2)
-    wh_union = {
-        v: whitehead_graphs(f1, gates)[v].edges | whitehead_graphs(f2, gates)[v].edges
-        for v in even_instance.graph.vertices
-    }
-    whc = whitehead_graphs(composite, gates)
+
+    def edges(f, v):
+        return whitehead_graphs(MapChain(graph, [f]), gates)[v].edges
+
+    wh_union = {v: edges(f1, v) | edges(f2, v) for v in graph.vertices}
+    whc = whitehead_graphs(MapChain(graph, [compose_maps(f1, f2)]), gates)
     for v in even_instance.graph.vertices:
         assert whc[v].edges == wh_union[v]
 
@@ -237,7 +238,7 @@ def test_whitehead_needs_fixed_vertices():
         {"u": "v", "v": "u"},
     )
     with pytest.raises(MapError):
-        whitehead_graphs(swap, GateStructure.singletons(square))
+        whitehead_graphs(MapChain(square, [swap]), GateStructure.singletons(square))
 
 
 # -- long turns -------------------------------------------------------------------
@@ -305,9 +306,8 @@ def test_long_turn_image_trivial_prefix(rose2):
 
 
 def test_identity_is_not_legalizing(even_instance):
-    cert = verify_legalizing(
-        GraphMap.identity(even_instance.graph), even_instance.gates, 1
-    )
+    graph = even_instance.graph
+    cert = verify_legalizing(MapChain(graph, [GraphMap.identity(graph)]), even_instance.gates, 1)
     assert not cert.ok
     assert cert.verdict == "failed"
 
@@ -344,14 +344,14 @@ def test_single_legalizer_handles_only_its_own_turn(even_instance):
                 other_illegal = True
     assert own_ok
     assert other_illegal
-    assert not verify_legalizing(rec.map, gates, 1).ok
+    assert not verify_legalizing(MapChain(graph, [rec.map]), gates, 1).ok
 
 
 def test_verifier_agrees_with_brute_force_on_factors(even_instance):
     """Independent check of the family verifier against full enumeration."""
     graph, gates = even_instance.graph, even_instance.gates
     for rec in even_instance.legalizers[:3]:
-        cert = verify_legalizing(rec.map, gates, 1)
+        cert = verify_legalizing(MapChain(graph, [rec.map]), gates, 1)
         brute_ok = True
         for lt in enumerate_long_turns(graph, gates, 1):
             image = long_turn_image(rec.map, lt)
@@ -372,7 +372,7 @@ def test_inp_search_clean_on_certified_map(odd_instance):
 
 def test_inp_search_vacuous_without_illegal_turns():
     loop = Graph(["v"], [("a", "v", "v")])
-    f = GraphMap(loop, {"a": ("a", "a")})
+    f = MapChain(loop, [GraphMap(loop, {"a": ("a", "a")})])
     gates = GateStructure.singletons(loop)
     inp = find_periodic_inps(f, gates)
     assert inp.verdict == NONE_FOUND
@@ -399,8 +399,9 @@ def test_inp_search_finds_fixed_branch_pair():
     gates = GateStructure(
         rose, [["a", "b"], ["c"], ["~a"], ["~b"], ["~c"]]
     )
-    assert check_train_track_morphism(f, gates).ok
-    inp = find_periodic_inps(f, gates)
+    chain = MapChain(rose, [f])
+    assert check_train_track_morphism(chain, gates).ok
+    inp = find_periodic_inps(chain, gates)
     assert inp.verdict == FOUND
     (turn, period, (x, y)) = inp.found[0]
     assert set(turn.tokens()) == {"a", "b"}
@@ -411,7 +412,8 @@ def test_inp_search_finds_fixed_branch_pair():
     power = f
     for _ in range(period - 1):
         power = compose_maps(f, power)
-    assert tighten(power.apply_path(nielsen)) == nielsen
+    image = tuple(x for t in nielsen.edges for x in power.image_edges(t))
+    assert tighten(Path("v1", image)) == nielsen
 
 
 def test_inp_search_fibonacci_square_has_no_vertex_candidates(rose2):
@@ -419,7 +421,7 @@ def test_inp_search_fibonacci_square_has_no_vertex_candidates(rose2):
     vertex-endpoint search reports a clean sweep; its Nielsen phenomenon
     shows up in conjugacy classes instead (see the certify tests)."""
     f = fib(rose2)
-    square = MapChain(rose2, [f, f])
+    square = MapChain(rose2, f.factors * 2)
     gates = intrinsic_gate_structure(f)
     inp = find_periodic_inps(square, gates)
     assert inp.verdict == NONE_FOUND
@@ -520,7 +522,7 @@ def test_periodic_vertices(rose2, even_instance):
         {"p": ("~p",), "q": ("~q",), "r": ("~r",)},
         {"u": "v", "v": "u"},
     )
-    assert periodic_vertices(swap) == {"u", "v"}
+    assert periodic_vertices(MapChain(square, [swap])) == {"u", "v"}
 
 
 def test_legal_image_of_legal_paths(even_instance):
