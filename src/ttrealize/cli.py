@@ -101,6 +101,9 @@ def _run_certify(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print("malformed realization document: JSON nested too deeply to parse", file=sys.stderr)
+        return 2
     try:
         result = RealizationResult.from_json(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -80,6 +80,10 @@ class GraphMap:
             images[label] = word
             images[inverses[label]] = back
             touched += (label, inverses[label])
+        if len(edge_images) != len(graph.positive_edges):
+            # every positive edge has its image, so some key is not one
+            extra = next(k for k in edge_images if k not in images or not is_positive(k))
+            raise MapError(f"image for {extra!r}, not a positive edge of the graph")
         derived = vertex_image is None
         if derived:
             # only the ends of moved edges can be sent elsewhere; there every

@@ -24,10 +24,8 @@ from typing import Callable, Sequence
 from .core import (
     GateStructure,
     Graph,
-    Path,
     canonical_index_list,
     inverse,
-    is_legal_path,
     token_key,
     validate_graph,
 )
@@ -232,8 +230,9 @@ class Clause:
     from v1 whose first token passes ``start`` and whose last token passes
     ``end`` (by default any token does), when w itself avoids ``banned``,
     and when w crosses the edge ``once`` exactly once or the gate turn
-    ``turn`` at least once, if either is set.  Only a clause with a lead or
-    a trail token can be met by the empty word.
+    ``turn`` (two distinct gates at one vertex) at least once, if either is
+    set.  Only a clause with a lead or a trail token can be met by the
+    empty word.
     """
 
     kind: str
@@ -291,13 +290,16 @@ def selector_clauses(graph: Graph, gates: GateStructure, bp: RealizationBlueprin
         return lambda t: graph.terms[t] == v1 and gates.gate_of(graph.inverses[t]) not in ids
 
     anchor = frozenset({"a1", "~a1"})
+    # carriers and witnesses share one start and one end, so that
+    # ``_select_witnesses`` can tell that the witness rows share them
+    leave, back = starts_in(gate1), ends_outside(gate1)
     rows = [
-        Clause("carrier", e, anchor | {inverse(e)}, starts_in(gate1), ends_outside(gate1), once=e)
+        Clause("carrier", e, anchor | {inverse(e)}, leave, back, once=e)
         for e in graph.positive_edges
         if e != "a1"
     ]
     rows += [
-        Clause("witness", pair, anchor, starts_in(gate1), ends_outside(gate1), turn=frozenset(pair))
+        Clause("witness", pair, anchor, leave, back, turn=frozenset(pair))
         for pair in eligible_gate_turns(graph, gates, bp)
     ]
     if bp.case == CASE_MAX_ODD:
@@ -319,85 +321,219 @@ def selector_clauses(graph: Graph, gates: GateStructure, bp: RealizationBlueprin
 def clause_violations(
     graph: Graph, gates: GateStructure, clause: Clause, word: Sequence[str]
 ) -> list[str]:
-    """How ``word`` fails ``clause``; empty when it satisfies it."""
-    word = tuple(word)
-    edges = clause.lead + word + clause.trail
-    if not word and not (clause.lead or clause.trail):
+    """How ``word`` fails ``clause``; empty when it satisfies it.
+
+    One pass over ``lead + word + trail`` makes every check: the path from
+    v1, its turns, and, over the word alone, the banned edges and the
+    crossing state.
+    """
+    lead, trail = clause.lead, clause.trail
+    if not word and not (lead or trail):
         return ["empty"]
-    unknown = set(edges) - set(graph.directed_edges)
+    edges = (*lead, *word, *trail)
+    inits, terms, inverses, gate_of = graph.inits, graph.terms, graph.inverses, gates.gate_of
+    banned, once, turn = clause.banned, clause.once, clause.turn
+    first, stop = len(lead), len(lead) + len(word)
+    at, back = graph.vertices[0], None  # back: the gate the last edge arrived through
+    unknown, valid, legal, clean, state = [], True, True, True, clause.initial
+    for i, t in enumerate(edges):
+        if t not in inits:
+            unknown.append(t)
+            continue
+        if inits[t] != at:
+            valid = False
+        ahead = gate_of(t)
+        if ahead == back:
+            legal = False
+        if first <= i < stop:
+            if t in banned:
+                clean = False
+            if t == once:
+                state = True if state is False else None  # None: crossed twice, for good
+            elif turn is not None and i > first and back != ahead and back in turn and ahead in turn:
+                state = True
+        at, back = terms[t], gate_of(inverses[t])
     if unknown:
-        return [f"unknown edges {sorted(unknown)}"]
-    path = Path(graph.vertices[0], edges)
-    checks = [
-        (graph.path_is_valid(path), "not a path from v1"),
-        (is_legal_path(path, gates), "illegal"),
-        (clause.start(edges[0]), f"starts with {edges[0]}, outside its start gate"),
-        (clause.end(edges[-1]), f"ends with {edges[-1]}, outside its end condition"),
-        (not set(word) & clause.banned, "crosses a banned edge"),
-    ]
-    state, prev = clause.initial, None
-    for t in word:
-        state, prev = clause.cross(gates, state, prev, t), t
+        return [f"unknown edges {sorted(set(unknown))}"]
+    problems = []
+    if not valid:
+        problems.append("not a path from v1")
+    if not legal:
+        problems.append("illegal")
+    if not clause.start(edges[0]):
+        problems.append(f"starts with {edges[0]}, outside its start gate")
+    if not clause.end(edges[-1]):
+        problems.append(f"ends with {edges[-1]}, outside its end condition")
+    if not clean:
+        problems.append("crosses a banned edge")
+    if once is not None:
         if state is None:
-            break
-    if clause.once is not None:
-        checks.append((state is not None, f"crosses {clause.once} more than once"))
-        checks.append((state is not False, f"does not cross {clause.once}"))
-    if clause.turn is not None:
-        checks.append((state, "does not cross its turn"))
-    return [message for ok, message in checks if not ok]
+            problems.append(f"crosses {once} more than once")
+        if state is False:
+            problems.append(f"does not cross {once}")
+    if turn is not None and not state:
+        problems.append("does not cross its turn")
+    return problems
 
 
-def _select(graph: Graph, gates: GateStructure, clause: Clause):
+def _walk(links: dict, node) -> list:
+    """``node`` and the nodes its pointers in ``links`` lead to, up to None."""
+    out = []
+    while node is not None:
+        out.append(node)
+        node = links[node]
+    return out
+
+
+def _select(graph: Graph, gates: GateStructure, clause: Clause) -> tuple[str, ...]:
     """The shortest word satisfying ``clause``, lexicographically least.
 
     A breadth-first search over legal extensions that avoid the banned
-    set.  The goal depends only on the last token and the crossing state,
-    so pruning visited (token, state) pairs keeps the shortest solutions.
+    set, one level at a time, with a parent pointer per (token, state)
+    node.  The goal depends only on the last token and the crossing state,
+    so pruning visited nodes keeps the shortest solutions, and visiting
+    each level's nodes in order, their extensions in token order, keeps
+    the least of them.
     """
-    if not clause_violations(graph, gates, clause, ()):
+    if (clause.lead or clause.trail) and not clause_violations(graph, gates, clause, ()):
         return ()
+    banned, end, trail = clause.banned, clause.end, clause.trail
+    continuations = gates.legal_continuations
 
     def done(last: str, state) -> bool:
-        if clause.trail:
-            if clause.trail[0] not in gates.legal_continuations(last):
+        if trail:
+            if trail[0] not in continuations(last):
                 return False
-            last = clause.trail[-1]
-        return bool(state) and clause.end(last)
+            last = trail[-1]
+        return bool(state) and end(last)
 
     if clause.lead:
-        firsts = gates.legal_continuations(clause.lead[-1])
+        firsts = continuations(clause.lead[-1])
     else:
         firsts = [t for t in graph.edges_at(graph.vertices[0]) if clause.start(t)]
-    queue = deque()
-    seen = set()
+    parent: dict[tuple[str, object], tuple[str, object] | None] = {}
+    level = []
     for t in firsts:
-        state = clause.cross(gates, clause.initial, None, t)
-        if t not in clause.banned and (t, state) not in seen:
-            seen.add((t, state))
-            queue.append(((t,), state))
-    while queue:
-        word, state = queue.popleft()
-        last = word[-1]
-        if done(last, state):
-            return word
-        if len(word) >= SELECT_MAX_LEN:
-            continue
-        for nxt in gates.legal_continuations(last):
-            if nxt in clause.banned:
+        node = (t, clause.cross(gates, clause.initial, None, t))
+        if t not in banned and node not in parent:
+            parent[node] = None
+            level.append(node)
+    for length in range(1, SELECT_MAX_LEN + 1):
+        below = []
+        for node in level:
+            last, state = node
+            if done(last, state):
+                return tuple(t for t, _ in reversed(_walk(parent, node)))
+            if length == SELECT_MAX_LEN:
                 continue
-            state2 = clause.cross(gates, state, last, nxt)
-            key = (nxt, state2)
-            if state2 is not None and key not in seen:
-                seen.add(key)
-                queue.append((word + (nxt,), state2))
+            for nxt in continuations(last):
+                if nxt in banned:
+                    continue
+                child = (nxt, clause.cross(gates, state, last, nxt))
+                if child[1] is not None and child not in parent:
+                    parent[child] = node
+                    below.append(child)
+        level = below
     raise SelectorError(f"no path satisfies {clause.name}")
 
 
+def _select_witnesses(
+    graph: Graph, gates: GateStructure, clauses: Sequence[Clause]
+) -> dict[object, tuple[str, ...]]:
+    """Every witness row's word, keyed by row, from two searches in all.
+
+    The rows share their banned set, start and end, and differ only in the
+    gate turn they must cross.  A forward breadth-first tree from v1 gives
+    each token u the least shortest prefix P[u] ending in u, and a backward
+    one gives each token n the least shortest completion S[n] after it.  A
+    row's word is the least of the shortest words P[u] + n + S[n] over the
+    steps u -> n that cross its turn.  This is the word ``_select`` finds:
+    cut that word at any crossing, and the part up to u is P[u] and the
+    part from n is n + S[n], or putting those in its place would give a
+    shorter or smaller word that still crosses.
+    """
+    if not clauses:
+        return {}
+    banned, start, end = clauses[0].banned, clauses[0].start, clauses[0].end
+    assert all(
+        (c.banned, c.start, c.end, c.lead, c.trail, c.once) == (banned, start, end, (), (), None)
+        and c.turn is not None
+        for c in clauses
+    ), "internal: witness rows differ in more than their turn"
+    continuations, gate_of, inverses = gates.legal_continuations, gates.gate_of, graph.inverses
+    # forward: the first discovery of each token is its least shortest prefix
+    parent: dict[str, str | None] = {}
+    depth: dict[str, int] = {}
+    queue = deque()
+    for t in graph.edges_at(graph.vertices[0]):
+        if start(t) and t not in banned:
+            parent[t], depth[t] = None, 1
+            queue.append(t)
+    while queue:
+        u = queue.popleft()
+        for n in continuations(u):
+            if n not in banned and n not in parent:
+                parent[n], depth[n] = u, depth[u] + 1
+                queue.append(n)
+    # backward: distance to a last token that meets ``end``; the least
+    # shortest completion takes the first continuation one step closer
+    allowed = [t for t in graph.directed_edges if t not in banned]
+    preceding: dict[str, list[str]] = {t: [] for t in allowed}
+    for t in allowed:
+        for n in continuations(t):
+            if n not in banned:
+                preceding[n].append(t)
+    dist = {t: 0 for t in allowed if end(t)}
+    queue = deque(dist)
+    while queue:
+        n = queue.popleft()
+        for t in preceding[n]:
+            if t not in dist:
+                dist[t] = dist[n] + 1
+                queue.append(t)
+    onward: dict[str, str | None] = {
+        n: None if d == 0 else next(x for x in continuations(n) if dist.get(x) == d - 1)
+        for n, d in dist.items()
+    }
+    # the steps into and out of each gate that both searches reach
+    arriving: dict[int, list[str]] = {}
+    leaving: dict[int, list[str]] = {}
+    for u in parent:
+        arriving.setdefault(gate_of(inverses[u]), []).append(u)
+    for n in dist:
+        leaving.setdefault(gate_of(n), []).append(n)
+    rank = {t: i for i, t in enumerate(sorted(graph.directed_edges, key=token_key))}
+    out = {}
+    for clause in clauses:
+        a, b = clause.turn
+        steps = [
+            (depth[u] + 1 + dist[n], u, n)
+            for x, y in ((a, b), (b, a))
+            for u in arriving.get(x, ())
+            for n in leaving.get(y, ())
+        ]
+        shortest = min((length for length, _, _ in steps), default=SELECT_MAX_LEN + 1)
+        if shortest > SELECT_MAX_LEN:
+            raise SelectorError(f"no path satisfies {clause.name}")
+        words = [
+            (*reversed(_walk(parent, u)), *_walk(onward, n))
+            for length, u, n in steps
+            if length == shortest
+        ]
+        out[clause.key] = min(words, key=lambda w: [rank[t] for t in w])
+    return out
+
+
 def select_paths(graph: Graph, gates: GateStructure, bp: RealizationBlueprint) -> SelectedPaths:
-    """Every path of the clause table, searched for and then re-verified."""
-    sel = {(c.kind, c.key): _select(graph, gates, c) for c in selector_clauses(graph, gates, bp)}
-    verify_selectors(graph, gates, bp, sel)
+    """Every path of the clause table, searched for and then re-verified:
+    the witness rows by one shared search, every other row by its own."""
+    clauses = selector_clauses(graph, gates, bp)
+    witnesses = _select_witnesses(graph, gates, [c for c in clauses if c.turn is not None])
+    sel = {
+        (c.kind, c.key): witnesses[c.key] if c.turn is not None else _select(graph, gates, c)
+        for c in clauses
+    }
+    _verify_rows(graph, gates, clauses, sel)
     return sel
 
 
@@ -420,9 +556,13 @@ def eligible_gate_turns(graph, gates, bp) -> list[tuple[int, int]]:
 
 def verify_selectors(graph, gates, bp, sel: SelectedPaths) -> None:
     """Re-check every selection against its row of the clause table; raises on failure."""
+    _verify_rows(graph, gates, selector_clauses(graph, gates, bp), sel)
+
+
+def _verify_rows(graph, gates, clauses: list[Clause], sel: SelectedPaths) -> None:
     words = dict(sel)
     problems: list[str] = []
-    for clause in selector_clauses(graph, gates, bp):
+    for clause in clauses:
         word = words.pop((clause.kind, clause.key), None)
         if word is None:
             problems.append(f"{clause.name}: missing")

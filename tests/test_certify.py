@@ -215,6 +215,21 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
     assert main(["certify", str(path)]) == 3
 
 
+def test_a_tampered_image_keyed_by_no_edge_is_rejected(tmp_path, capsys):
+    """An image keyed by a token that is not a positive edge of the graph,
+    added to every copy of the first mixing factor, makes the document
+    malformed: the decoder names the key, and certify exits 2."""
+    doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
+    doc.update(with_factor_image(doc, doc["mixing_factors"][0]["name"], "zz", ["c1", "c1"]))
+    with pytest.raises(MapError, match="^image for 'zz', not a positive edge"):
+        RealizationResult.from_json(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 2
+    assert "image for 'zz'" in capsys.readouterr().err
+
+
 def test_relabelled_blueprint_loses_the_full_tier():
     """The full tier certifies the requested list: a rank 4 [1/2] document
     whose blueprint asks for [1] realizes the wrong list, and says so."""

@@ -82,6 +82,18 @@ def test_certify_missing_file_exits_four(tmp_path):
     assert code == 4
 
 
+def test_certify_a_too_deeply_nested_document_exits_two(tmp_path, capsys):
+    """JSON nested deeper than the parser's recursion limit is a malformed
+    document: one line and exit 2, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main(["certify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("malformed realization document") and err.count("\n") == 1, err
+
+
 def test_experiment_text_output(tmp_path):
     out = tmp_path / "table.txt"
     code = main([

@@ -307,6 +307,11 @@ def test_map_validation_errors(rose2):
          {"u": "v", "v": "u"}),
         # a sends u to u, ~b sends it to v
         ("incoherent images at vertex 'u'", two, {"a": ("a",), "b": ("~b",), "c": ("c",)}, None),
+        # every edge has its image, and one more key is not an edge of the graph
+        ("image for 'zz', not a positive edge of the graph", rose2,
+         {"a": ("a",), "b": ("b",), "zz": ("a",)}, None),
+        ("image for '~a', not a positive edge of the graph", rose2,
+         {"a": ("a",), "b": ("b",), "~a": ("~a",)}, None),
     ]
     for message, graph, images, vertex_image in cases:
         with pytest.raises(MapError) as caught:
@@ -314,6 +319,8 @@ def test_map_validation_errors(rose2):
         assert str(caught.value) == message
     with pytest.raises(MapError, match="unknown edge 'zz'"):
         GraphMap.from_json(rose2, {"images": {"a": ["zz"], "b": ["b"]}})
+    with pytest.raises(MapError, match="^image for 'zz', not a positive edge"):
+        GraphMap.from_updates(rose2, {"zz": ("a", "a")})
 
 
 def test_map_json_round_trip(rose2):

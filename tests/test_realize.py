@@ -1,5 +1,6 @@
 """Blueprints, the gated graph, selectors, factor maps, the full pipeline."""
 
+import dataclasses
 import importlib
 import json
 import re
@@ -28,10 +29,14 @@ from ttrealize.realize import (
     LegalizingSearchError,
     RealizationResult,
     SelectorError,
+    _select,
+    _select_witnesses,
     build_graph,
     build_legalizing_map,
+    enumerate_admissible,
     realize,
     select_paths,
+    selector_clauses,
     validate_and_classify,
     verify_selectors,
 )
@@ -143,6 +148,65 @@ def test_selectors_are_deterministic(even_graph):
     first = select_paths(graph, gates, bp)
     second = select_paths(graph, gates, bp)
     assert first == second
+
+
+def _witness_rows(rank, entries):
+    bp = validate_and_classify(rank, entries)
+    graph, gates = build_graph(bp)
+    return graph, gates, [c for c in selector_clauses(graph, gates, bp) if c.kind == "witness"]
+
+
+def _first_list_of_each_case(rank):
+    firsts = {}
+    for entries in enumerate_admissible(rank):
+        firsts.setdefault(validate_and_classify(rank, entries).case, entries)
+    return list(firsts.values())
+
+
+def test_the_shared_witness_search_finds_the_per_row_words():
+    """The one forward and one backward search pick, for every witness row,
+    the word the per-row search picks: on every rank 3-6 list and on one
+    list per case at ranks 7 and 8."""
+    cases = [(rank, entries) for rank in range(3, 7) for entries in enumerate_admissible(rank)]
+    cases += [(rank, entries) for rank in (7, 8) for entries in _first_list_of_each_case(rank)]
+    rows = 0
+    for rank, entries in cases:
+        graph, gates, witnesses = _witness_rows(rank, entries)
+        expected = {c.key: _select(graph, gates, c) for c in witnesses}
+        assert _select_witnesses(graph, gates, witnesses) == expected, (rank, entries)
+        rows += len(witnesses)
+    assert len(cases) == 170 and rows == 3423  # 3,248 of them at ranks 3-6
+
+
+def test_the_shared_witness_search_raises_where_no_word_crosses_the_turn():
+    """In the maximal odd case ~a1 is a gate of its own and banned, so no
+    witness crosses a turn at it: both searches raise and name the row."""
+    graph, gates, witnesses = _witness_rows(3, (3,))
+    pair = tuple(sorted((gates.gate_of("c1"), gates.gate_of("~a1"))))
+    clause = dataclasses.replace(witnesses[0], key=pair, turn=frozenset(pair))
+    for search in (_select_witnesses, lambda graph, gates, rows: _select(graph, gates, rows[0])):
+        with pytest.raises(SelectorError, match=rf"^no path satisfies {re.escape(clause.name)}$"):
+            search(graph, gates, [clause])
+
+
+def test_select_max_len_bounds_the_shared_witness_search(monkeypatch):
+    """A row whose shortest word is longer than SELECT_MAX_LEN has no
+    word: at one below the longest witness word, the first row that needs
+    it raises in both searches, and at that length every row is found."""
+    realize_module = importlib.import_module("ttrealize.realize")
+    graph, gates, witnesses = _witness_rows(5, (2, 1))
+    words = _select_witnesses(graph, gates, witnesses)
+    longest = max(map(len, words.values()))
+    first = next(c for c in witnesses if len(words[c.key]) == longest)
+    monkeypatch.setattr(realize_module, "SELECT_MAX_LEN", longest)
+    assert _select_witnesses(graph, gates, witnesses) == words
+    assert _select(graph, gates, first) == words[first.key]
+    monkeypatch.setattr(realize_module, "SELECT_MAX_LEN", longest - 1)
+    message = rf"^no path satisfies {re.escape(first.name)}$"
+    with pytest.raises(SelectorError, match=message):
+        _select_witnesses(graph, gates, witnesses)
+    with pytest.raises(SelectorError, match=message):
+        _select(graph, gates, first)
 
 
 def _crossed_gate_turns(gates, loop):
