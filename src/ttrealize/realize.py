@@ -601,13 +601,6 @@ def build_edge_link_map(graph, sel: SelectedPaths, e: str) -> FactorRecord:
     return FactorRecord(f"link[{e}]", GraphMap.from_updates(graph, images))
 
 
-def build_turn_stamp_map(graph, sel: SelectedPaths, pair: tuple[int, int]) -> FactorRecord:
-    """Stamps one gate turn into the anchor loop's image."""
-    v = sel["witness", pair]
-    stamp = GraphMap.from_updates(graph, {"a1": v + ("a1",)})
-    return FactorRecord(f"stamp[{pair[0]},{pair[1]}]", stamp)
-
-
 def build_turn_legalizer(
     graph, gates, bp: RealizationBlueprint, sel: SelectedPaths, turn: Turn
 ) -> FactorRecord:
@@ -646,16 +639,18 @@ def build_turn_legalizer(
 
 
 def build_mixing_factors(graph, gates, bp, sel) -> list[FactorRecord]:
-    """The link maps (canonical edge order) followed by the turn stamps."""
+    """The link maps (canonical edge order), then one record ``stamps``:
+    a1 -> v_1 ... v_m a1 over the eligible gate turns' witnesses v_k, the
+    product of the per-turn stamps a1 -> v_k a1."""
     records = [
         build_edge_link_map(graph, sel, e)
         for e in graph.positive_edges
         if e != "a1"
     ]
-    records.extend(
-        build_turn_stamp_map(graph, sel, pair)
-        for pair in eligible_gate_turns(graph, gates, bp)
-    )
+    turns = eligible_gate_turns(graph, gates, bp)
+    if turns:
+        stamped = tuple(t for pair in turns for t in sel["witness", pair]) + ("a1",)
+        records.append(FactorRecord("stamps", GraphMap.from_updates(graph, {"a1": stamped})))
     return records
 
 
@@ -763,11 +758,14 @@ class RealizationResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "RealizationResult":
-        """Decode a document.  Its rank, doubled entries and C must be
-        integers, C in [1, c_max], its record lists nonempty and its stored
-        chains the ones its records make; otherwise it raises
-        ``ValueError``.  Of the ``legalizing`` block only C is read:
-        ``certify`` re-derives whether g legalizes there."""
+        """Decode a document.  Its version, if any, must be 1, its rank,
+        doubled entries and C integers, C in [1, c_max], its record lists
+        nonempty and its stored chains the ones its records make; otherwise
+        it raises ``ValueError``.  Of the ``legalizing`` block only C is
+        read: ``certify`` re-derives whether g legalizes there."""
+        version = data.get("version", 1)
+        if not _is_integer(version) or version != 1:
+            raise ValueError(f"unsupported document version {version!r}")
         bp_data = data["blueprint"]
         rank, entries = bp_data["rank"], bp_data["entries_doubled"]
         if not (isinstance(entries, list) and all(map(_is_integer, [rank, *entries]))):

@@ -15,8 +15,10 @@ from ttrealize.marking import build_marking, pi1_automorphism
 from ttrealize.realize import (
     FactorRecord,
     RealizationResult,
+    eligible_gate_turns,
     enumerate_admissible,
     realize,
+    select_paths,
     stored_chains,
 )
 from ttrealize.traintrack import find_periodic_inps
@@ -177,6 +179,7 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
     five keys every report has."""
     doc = json.loads(json.dumps(realize(3, (1,)).to_json()))
     mixing = [r for r in doc["mixing_factors"] if r["name"] != "link[d]"]
+    stamped = next(r for r in mixing if r["name"] == "stamps")["map"]["images"]["a1"]
     edits, note = {
         # g legalizes at C = 2, not at half of it: only re-verifying g can tell
         "legalizing": (
@@ -188,10 +191,10 @@ def test_tampered_document_loses_the_structural_route(tmp_path, tamper):
             {"blueprint": {**doc["blueprint"], "rank": 4}},
             "the graph's rank is not the blueprint's",
         ),
-        # a1 -> c1 c1 a1 a1 is a train track morphism, but its image misses a1
+        # a1 -> v_1 ... v_m a1 a1 is a train track morphism, but its image misses a1
         "stamp": (
-            with_factor_image(doc, "stamp[0,1]", "a1", ["c1", "c1", "a1", "a1"]),
-            "factor stamp[0,1] is not a homotopy equivalence",
+            with_factor_image(doc, "stamps", "a1", stamped + ["a1"]),
+            "factor stamps is not a homotopy equivalence",
         ),
         # c1 -> c1 a1 d sends ~c1 to ~d, and ~a1 to itself: h splits
         # the gate of the two, so it has no gate map and no Whitehead graphs
@@ -279,6 +282,29 @@ def test_documents_in_the_older_format_decode_and_certify():
     for key in ("mixing_factors", "legalizers"):
         assert all(set(r) == {"name", "map", "inverse"} for r in doc[key])
         assert all(set(r) == {"name", "map"} for r in again[key])
+
+
+@pytest.mark.parametrize("entries", [(1,), (2,), (3,)], ids=["odd", "even", "max_odd"])
+def test_documents_with_one_record_per_stamp_still_certify(entries):
+    """Older documents stored one stamp record a1 -> v a1 per eligible gate
+    turn where today's store their product as one ``stamps`` record; split
+    back, with the chains re-spelled, a document certifies to the same
+    report, byte for byte."""
+    result = realize(3, entries)
+    graph, gates, bp = result.graph, result.gates, result.blueprint
+    doc = json.loads(json.dumps(result.to_json()))
+    sel = select_paths(graph, gates, bp)
+    split = [r for r in doc["mixing_factors"] if r["name"] != "stamps"] + [
+        FactorRecord(
+            f"stamp[{a},{b}]", GraphMap.from_updates(graph, {"a1": sel["witness", (a, b)] + ("a1",)})
+        ).to_json()
+        for a, b in eligible_gate_turns(graph, gates, bp)
+    ]
+    assert len(split) > len(doc["mixing_factors"])
+    old = {**doc, "mixing_factors": split, **stored_chains(split, doc["legalizers"])}
+    merged_report = json.dumps(certify_realization(RealizationResult.from_json(doc)).to_json())
+    split_report = json.dumps(certify_realization(RealizationResult.from_json(old)).to_json())
+    assert split_report == merged_report == json.dumps(doc["report"])
 
 
 def test_the_document_stores_only_what_the_decoder_reads():
@@ -441,7 +467,7 @@ def test_realize_verifies_its_legalizing_map_once(monkeypatch):
 # SHA-256 of json.dumps of each rank 3-4 document and then its certify
 # report, in enumeration order.  A change that alters outputs on purpose
 # updates it and says why.
-RANK_3_AND_4_OUTPUTS = "9e4dd3bf941f3ecf06e611899406137da22c55f9006322443d167b50781c67fd"
+RANK_3_AND_4_OUTPUTS = "33e9d133efe3425d957863dec4703a28cf783bf70c99c6b82394121a3c204bcf"
 
 
 def test_realize_grades_as_certify_does_on_every_rank_3_and_4_list():

@@ -53,6 +53,10 @@ def test_realize_certify_round_trip(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report == data["report"]
 
+    # a document may name its format, version 1
+    out.write_text(json.dumps({"version": 1, **data}))
+    assert main(["certify", str(out)]) == 0
+
 
 def test_certify_reads_a_document_in_the_older_format(tmp_path):
     """A document that still stores the selected paths, the marking and the
@@ -211,17 +215,24 @@ def _set_blueprint(key, value):
     return edit
 
 
+def _set_version(value):
+    def edit(doc):
+        doc["version"] = value
+    return edit
+
+
 # rank, each doubled entry and C are JSON integers: a float, a boolean or a
-# string that Python would coerce to one is malformed too
+# string that Python would coerce to one is malformed too.  A version other
+# than 1 names a format this decoder does not read.
 @pytest.mark.parametrize(
     "edit",
     [_break_images, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates,
      _set_blueprint("entries_doubled", [1.7]), _set_blueprint("entries_doubled", [True]),
      _set_blueprint("entries_doubled", ["1"]), _set_blueprint("rank", 3.0), _set_c(True),
-     _set_c(0), _set_c(-3)],
+     _set_c(0), _set_c(-3), _set_version(99), _set_version(True), _set_version(1.0)],
     ids=["images-list", "C-string", "C-null", "C-over-cap", "missing-key",
          "entry-float", "entry-bool", "entry-string", "rank-float", "C-bool",
-         "C-zero", "C-negative"],
+         "C-zero", "C-negative", "version-99", "version-bool", "version-float"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, edit):
     out = tmp_path / "result.json"

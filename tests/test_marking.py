@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ttrealize.core import Graph, tighten_word
-from ttrealize.maps import GraphMap, compose_maps, is_homotopy_equivalence
+from ttrealize.maps import GraphMap, MapChain, compose_maps, is_homotopy_equivalence
 from ttrealize.marking import (
     MarkingError,
     build_marking,
@@ -99,9 +99,15 @@ def test_all_factor_inverses_on_small_instance(odd_instance):
     for name, fwd, back in records:
         assert verify_homotopy_equivalence(fwd, back, marking), name
         assert is_homotopy_equivalence(fwd), name
-    # the listed maps are the ones realize builds today
+    # the listed maps are the ones realize builds today, except that its one
+    # stamps record is the product of the listed per-turn stamps
     built = odd_instance.mixing_factors + odd_instance.legalizers
-    assert [(r.name, r.map) for r in built] == [(name, fwd) for name, fwd, _ in records]
+    stamps = [fwd for name, fwd, _ in records if name.startswith("stamp[")]
+    assert len(stamps) > 1
+    listed = [(name, fwd) for name, fwd, _ in records if not name.startswith("stamp[")]
+    assert [(r.name, r.map) for r in built if r.name != "stamps"] == listed
+    (merged,) = [r.map for r in built if r.name == "stamps"]
+    assert MapChain(graph, stamps).materialize().factors == (merged,)
 
 
 def test_pi1_respects_composition(rose2):

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from ttrealize.cli import main
-from ttrealize.core import Path, canonical_index_list, inverse, validate_graph
+from ttrealize.core import Path, canonical_index_list, inverse, tighten_word, validate_graph
 from ttrealize.maps import GraphMap, MapChain, transition_matrix
 from ttrealize.traintrack import (
     LegalizingCertificate,
@@ -33,6 +33,8 @@ from ttrealize.realize import (
     _select_witnesses,
     build_graph,
     build_legalizing_map,
+    build_mixing_factors,
+    eligible_gate_turns,
     enumerate_admissible,
     realize,
     select_paths,
@@ -287,13 +289,39 @@ def test_link_map_threads_anchor_and_edge(even_instance):
 
 
 def test_stamp_maps_touch_only_anchor(even_instance):
-    for rec in even_instance.mixing_factors:
-        if not rec.name.startswith("stamp"):
-            continue
-        for e in even_instance.graph.positive_edges:
-            if e != "a1":
-                assert rec.map.image_edges(e) == (e,)
-        assert rec.map.image_edges("a1")[-1] == "a1"
+    (rec,) = [r for r in even_instance.mixing_factors if r.name.startswith("stamp")]
+    assert rec is even_instance.mixing_factors[-1] and rec.name == "stamps"
+    for e in even_instance.graph.positive_edges:
+        if e != "a1":
+            assert rec.map.image_edges(e) == (e,)
+    assert rec.map.image_edges("a1")[-1] == "a1"
+
+
+def test_the_stamps_record_is_the_product_of_the_per_turn_stamps(monkeypatch):
+    """On every rank 3-4 list the one ``stamps`` record is the map of the
+    per-turn stamps a1 -> v a1, one per eligible gate turn in order, built
+    from the same selected witnesses; its a1 image is reduced and ends in
+    a1.  A list with no eligible turn would get no ``stamps`` record."""
+    realize_module = importlib.import_module("ttrealize.realize")
+    lists = [(rank, lst) for rank in (3, 4) for lst in enumerate_admissible(rank)]
+    for rank, lst in lists:
+        bp = validate_and_classify(rank, lst)
+        graph, gates = build_graph(bp)
+        sel = select_paths(graph, gates, bp)
+        *links, stamps = build_mixing_factors(graph, gates, bp, sel)
+        assert stamps.name == "stamps" and all(r.name.startswith("link[") for r in links)
+        per_turn = [
+            GraphMap.from_updates(graph, {"a1": sel["witness", pair] + ("a1",)})
+            for pair in eligible_gate_turns(graph, gates, bp)
+        ]
+        assert len(per_turn) > 1, (rank, lst)
+        product = MapChain(graph, per_turn).materialize()
+        assert MapChain(graph, [stamps.map]).materialize().factors == product.factors, (rank, lst)
+        word = stamps.map.image_edges("a1")
+        assert tighten_word(word) == word and word[-1] == "a1", (rank, lst)
+        with monkeypatch.context() as patched:
+            patched.setattr(realize_module, "eligible_gate_turns", lambda graph, gates, bp: [])
+            assert build_mixing_factors(graph, gates, bp, sel) == links
 
 
 def test_mixing_map_is_positive_and_expanding(even_instance):
@@ -443,19 +471,17 @@ def test_a_builder_fault_is_graded_not_raised(monkeypatch, tmp_path):
     note naming it, through the grader that certify uses; the command line
     writes the document and exits 3."""
     realize_module = importlib.import_module("ttrealize.realize")
-    build = realize_module.build_turn_stamp_map
+    build = realize_module.build_mixing_factors
 
-    def faulty(graph, sel, pair):
-        rec = build(graph, sel, pair)
-        if rec.name != "stamp[0,1]":
-            return rec
+    def faulty(graph, gates, bp, sel):
         # a train track morphism whose image misses a1: not onto on pi_1
-        return FactorRecord(rec.name, GraphMap.from_updates(graph, {"a1": ("c1", "c1", "a1", "a1")}))
+        stamps = FactorRecord("stamps", GraphMap.from_updates(graph, {"a1": ("c1", "c1", "a1", "a1")}))
+        return [stamps if rec.name == "stamps" else rec for rec in build(graph, gates, bp, sel)]
 
-    monkeypatch.setattr(realize_module, "build_turn_stamp_map", faulty)
+    monkeypatch.setattr(realize_module, "build_mixing_factors", faulty)
     result = realize(3, (1,))
     assert result.report.level == "failed"
-    assert "factor stamp[0,1] is not a homotopy equivalence" in result.report.notes
+    assert "factor stamps is not a homotopy equivalence" in result.report.notes
     out = tmp_path / "faulty.json"
     assert main(["realize", "--rank", "3", "--index-list", "1/2", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["report"] == result.report.to_json()

@@ -62,7 +62,7 @@ def test_direction_map_identity(rose2):
 
 
 def test_direction_map_of_anchor_stamp(even_instance):
-    rec = next(r for r in even_instance.mixing_factors if r.name.startswith("stamp"))
+    rec = next(r for r in even_instance.mixing_factors if r.name == "stamps")
     df = direction_map(MapChain(even_instance.graph, [rec.map]))
     assert df["a1"] == rec.map.image_edges("a1")[0]
 
