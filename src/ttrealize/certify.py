@@ -26,14 +26,9 @@ grader, which always runs the bounded search and which
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .core import (
-    format_index_entry,
-    inverse,
-    tighten_word,
-)
+from .core import format_index_entry
 from .maps import MapChain, is_homotopy_equivalence, is_positive_pattern
 from .traintrack import (
     NONE_FOUND,
@@ -180,92 +175,3 @@ def expanding_power(f: MapChain) -> int | None:
             return k
     return None
 
-
-# -- bounded periodic-conjugacy-class cross-check -------------------------------
-
-
-def cyclic_tighten(word: tuple[str, ...]) -> tuple[str, ...]:
-    word = tighten_word(word)
-    while len(word) >= 2 and word[0] == inverse(word[-1]):
-        word = word[1:-1]
-    return word
-
-
-def cyclically_equal(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
-    a, b = cyclic_tighten(a), cyclic_tighten(b)
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    return any(b[k:] + b[:k] == a for k in range(len(b)))
-
-
-def periodic_class_status(
-    f: MapChain, word: tuple[str, ...], t_max: int = 6, budget: int = 100_000
-) -> tuple[str, int | None]:
-    """Does some f^t-image of the conjugacy class return to it, t <= t_max?
-
-    Applies the map factor by factor, cyclically reducing between factors
-    (conjugacy classes are preserved either way).  Returns one of
-    ("recurrent", t), ("no_recurrence", None) or ("escaped", t): escaped
-    means the class length left the budget, after which recurrence within
-    the remaining exponents is not decidable at this scale.
-    """
-    base = cyclic_tighten(word)
-    current = base
-    for t in range(1, t_max + 1):
-        for factor in f.factors:
-            expanded: list[str] = []
-            for token in current:
-                expanded.extend(factor.image_edges(token))
-                if len(expanded) > budget:
-                    return ("escaped", t)
-            current = cyclic_tighten(tuple(expanded))
-        if cyclically_equal(current, base):
-            return ("recurrent", t)
-    return ("no_recurrence", None)
-
-
-def random_cyclic_words(graph, count: int, max_len: int, seed: int) -> list[tuple[str, ...]]:
-    """Deterministic sample of nonempty reduced cyclic words on the graph."""
-    rng = random.Random(seed)
-    words = []
-    tokens = list(graph.directed_edges)
-    attempts = 0
-    while len(words) < count and attempts < 100 * count:
-        attempts += 1
-        length = rng.randint(1, max_len)
-        start = rng.choice([t for t in tokens if graph.init_of(t) == graph.init_of(tokens[0])] or tokens)
-        word = [start]
-        ok = True
-        for _ in range(length - 1):
-            options = [
-                t
-                for t in graph.edges_at(graph.term_of(word[-1]))
-                if t != inverse(word[-1])
-            ]
-            if not options:
-                ok = False
-                break
-            word.append(rng.choice(options))
-        if not ok:
-            continue
-        # keep only closed words so the cyclic class is meaningful
-        if graph.term_of(word[-1]) != graph.init_of(word[0]):
-            continue
-        reduced = cyclic_tighten(tuple(word))
-        if reduced:
-            words.append(reduced)
-    return words
-
-
-def periodic_class_survey(f: MapChain, count: int = 50, max_len: int = 6, t_max: int = 6, seed: int = 20240901) -> dict:
-    """Survey random short conjugacy classes for early recurrence."""
-    words = random_cyclic_words(f.graph, count, max_len, seed)
-    statuses = [periodic_class_status(f, w, t_max=t_max) for w in words]
-    return {
-        "words": len(words),
-        "recurrent": sum(1 for s, _ in statuses if s == "recurrent"),
-        "escaped": sum(1 for s, _ in statuses if s == "escaped"),
-        "no_recurrence": sum(1 for s, _ in statuses if s == "no_recurrence"),
-    }

@@ -66,10 +66,6 @@ class Path:
     def __iter__(self) -> Iterator[str]:
         return iter(self.edges)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
-
 
 class Graph:
     """A finite connected-or-not graph with fixed-point-free edge involution.
@@ -141,27 +137,6 @@ class Graph:
                     queue.append(w)
         return len(seen) == len(self.vertices)
 
-    # -- paths ---------------------------------------------------------
-
-    def path_is_valid(self, path: Path) -> bool:
-        if path.start not in self._edges_at:
-            return False
-        at = path.start
-        for token in path.edges:
-            if self.inits.get(token) != at:
-                return False
-            at = self.terms[token]
-        return True
-
-    def path(self, start: str, edges: Iterable[str] = ()) -> Path:
-        p = Path(start, tuple(edges))
-        if not self.path_is_valid(p):
-            raise GraphError(f"invalid path {p.edges!r} from {start!r}")
-        return p
-
-    def path_end(self, path: Path) -> str:
-        return self.term_of(path.edges[-1]) if path.edges else path.start
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
@@ -175,10 +150,11 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        return cls(
-            data["vertices"],
-            [(e["label"], e["from"], e["to"]) for e in data["edges"]],
-        )
+        edges = [(e["label"], e["from"], e["to"]) for e in data["edges"]]
+        for name in [*data["vertices"], *(x for edge in edges for x in edge)]:
+            if not isinstance(name, str):
+                raise GraphError(f"vertices and edge labels must be strings, got {name!r}")
+        return cls(data["vertices"], edges)
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.positive_edges)} edges, rank {self.rank})"
@@ -251,10 +227,6 @@ class GateStructure:
             for token in graph.directed_edges
         }
 
-    @classmethod
-    def singletons(cls, graph: Graph) -> "GateStructure":
-        return cls(graph, [[t] for t in graph.directed_edges])
-
     def gate_of(self, token: str) -> int:
         return self._gate_of[token]
 
@@ -292,27 +264,15 @@ class GateStructure:
         return f"GateStructure({len(self.gates)} gates)"
 
 
-def is_legal_path(path: Path, gates: GateStructure) -> bool:
-    """True iff every crossed turn lands in two distinct gates.
-
-    Empty and single-edge paths are legal by convention.
-    """
-    return is_legal_word(path.edges, gates)
-
-
 def is_legal_word(edges: Sequence[str], gates: GateStructure) -> bool:
-    """``is_legal_path`` for a bare token word."""
+    """True iff every turn the word crosses lands in two distinct gates.
+
+    Empty and one-letter words are legal by convention.
+    """
     inverses, gate_of = gates.graph.inverses, gates._gate_of
     return all(
         gate_of[inverses[x]] != gate_of[y] for x, y in zip(edges, edges[1:])
     )
-
-
-def crossed_turns(path: Path) -> Iterator[tuple[str, str]]:
-    """The (unordered, reported as ordered pairs) turns a path crosses."""
-    edges = path.edges
-    for k in range(len(edges) - 1):
-        yield (inverse(edges[k]), edges[k + 1])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Graph self-maps: validated factors, factored compositions, transition matrices.
+"""Graph self-maps: validated factors, factored compositions, sign patterns.
 
-Exact transition matrices are the reference; production code asks only
-sign questions (positivity, primitivity), which integer bitsets answer.
+The package asks only sign questions of transition matrices (positivity,
+primitivity), and integer bitsets answer them without exact entries.
 
 A ``GraphMap`` is one factor: edge images and a vertex map, validated on
 construction, with the token tables that the chain tables, the sign
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .core import Graph, is_positive, positive_label
+from .core import Graph, is_positive
 
 
 class MapError(ValueError):
@@ -137,10 +137,6 @@ class GraphMap:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, graph: Graph) -> "GraphMap":
-        return cls(graph, {e: (e,) for e in graph.positive_edges})
-
-    @classmethod
     def from_updates(cls, graph: Graph, updates: dict[str, Sequence[str]]) -> "GraphMap":
         """Map sending every edge outside ``updates`` identically to itself."""
         images = {e: (e,) for e in graph.positive_edges}
@@ -166,6 +162,8 @@ class GraphMap:
         """Decode a map; with ``memo``, equal image dicts (same edges in the
         same order, same images) decode to one instance."""
         images = data["images"]
+        if not isinstance(images, dict):
+            raise MapError(f"images must map edges to words, got {type(images).__name__}")
         key = (tuple(images), tuple(map(tuple, images.values())))
         memo = {} if memo is None else memo
         if key not in memo:
@@ -185,22 +183,6 @@ class GraphMap:
     def __repr__(self) -> str:
         longest = max(len(w) for w in self._images.values())
         return f"GraphMap({len(self.graph.positive_edges)} edges, longest image {longest})"
-
-
-def compose_maps(f: GraphMap, g: GraphMap) -> GraphMap:
-    """The composition f∘g (g applied first), never tightened.
-
-    Crossing counts multiply exactly only without cancellation, which is
-    what keeps M(f∘g) = M(f)M(g) an identity rather than an inequality.
-    """
-    if f.graph is not g.graph and f.graph.to_json() != g.graph.to_json():
-        raise MapError("compose_maps needs maps on the same graph")
-    images = {
-        e: tuple(t for token in g.image_edges(e) for t in f.image_edges(token))
-        for e in g.graph.positive_edges
-    }
-    vmap = {v: f.vertex_image[g.vertex_image[v]] for v in g.graph.vertices}
-    return GraphMap(g.graph, images, vmap)
 
 
 def is_homotopy_equivalence(f: GraphMap) -> bool:
@@ -272,15 +254,13 @@ class TransitionMatrix:
 
     ``rows[i][j]`` counts crossings of edge ``labels[i]`` (or its reverse)
     in the image of edge ``labels[j]``.  Entries are exact Python ints.
+    Nothing in the package multiplies two: ``bench/tracing.py`` patches
+    the product as its ``maps.matmul`` probe, and the tests' exact
+    references build and multiply these matrices.
     """
 
     labels: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, crossed: str, source: str) -> int:
-        i = self.labels.index(crossed)
-        j = self.labels.index(source)
-        return self.rows[i][j]
 
     def __matmul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
         if self.labels != other.labels:
@@ -291,29 +271,6 @@ class TransitionMatrix:
             for row in self.rows
         )
         return TransitionMatrix(self.labels, rows)
-
-    @classmethod
-    def identity(cls, labels: Sequence[str]) -> "TransitionMatrix":
-        n = len(labels)
-        return cls(tuple(labels), tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-
-    @property
-    def is_positive(self) -> bool:
-        return all(all(x > 0 for x in row) for row in self.rows)
-
-
-def transition_matrix(chain: MapChain) -> TransitionMatrix:
-    """Exact transition matrix of a chain: the product over its factors of
-    each factor's crossing counts."""
-    labels = tuple(chain.graph.positive_edges)
-    result = TransitionMatrix.identity(labels)
-    for factor in chain.factors:
-        crossed = [[positive_label(t) for t in factor.image_edges(e)] for e in labels]
-        counts = tuple(tuple(column.count(row) for column in crossed) for row in labels)
-        result = TransitionMatrix(labels, counts) @ result
-    return result
 
 
 def is_positive_pattern(columns: Sequence[int]) -> bool:
@@ -569,7 +526,7 @@ class MapChain:
 
     @property
     def sign_pattern(self) -> tuple[int, ...]:
-        """The sign pattern of ``transition_matrix`` as column bitsets, never
+        """The sign pattern of the transition matrix as column bitsets, never
         forming exact entries: bit i of entry j is set when the image of
         ``graph.positive_edges[j]`` crosses edge i."""
         return self._passes[0].sign_pattern
@@ -597,9 +554,9 @@ class MapChain:
 
     @cached_property
     def crossed_turns(self) -> frozenset[tuple[str, str]]:
-        """The turns crossed by the composite's positive edge images, exactly
-        as ``core.crossed_turns`` reads them off the materialized map: each
-        pass's seams, read through the passes after it."""
+        """The turns (inverse of a letter, next letter) crossed by the
+        composite's positive edge images, exactly those of the spelled-out
+        images: each pass's seams, read through the passes after it."""
         passes = self._passes
         table = passes[0].table
         entering = frozenset(table.index[e] for e in self.graph.positive_edges)

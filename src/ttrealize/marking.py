@@ -3,9 +3,10 @@
 The marking identifies pi_1 of a graph with the free group on abstract
 generators ``x1..xN`` via a spanning tree; a graph self-map fixing the
 basepoint then induces an endomorphism, read off by collapsing the tree.
-This is reference code for the tests, and it reads one factor's images:
-``certify`` and ``realize`` check invertibility with
-``maps.is_homotopy_equivalence`` and never call it.
+It reads one factor's images.  No production code calls it: ``certify``
+and ``realize`` check invertibility with ``maps.is_homotopy_equivalence``.
+It stays in the package because ``bench/tracing.py`` patches
+``build_marking`` and ``pi1_automorphism``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Graph, Path, inverse, inverse_word, tighten, tighten_word, token_key
-from .maps import GraphMap, compose_maps
+from .maps import GraphMap
 
 
 class MarkingError(ValueError):
@@ -26,10 +27,6 @@ class Pi1Marking:
     basepoint: str
     tree_edges: frozenset[str]
     basis: dict[str, str]  # non-tree positive edge -> generator token "x1".."xN"
-
-    @property
-    def generators(self) -> tuple[str, ...]:
-        return tuple(self.basis[e] for e in sorted(self.basis, key=token_key))
 
 
 def build_marking(graph: Graph) -> Pi1Marking:
@@ -128,34 +125,3 @@ def pi1_automorphism(f: GraphMap, marking: Pi1Marking) -> dict[str, tuple[str, .
         out[marking.basis[e]] = path_to_word(marking, image)
     return out
 
-
-def is_inner_endomorphism(endo: dict[str, tuple[str, ...]]) -> bool:
-    """True iff the endomorphism is conjugation by a single word.
-
-    The conjugator, if any, is a prefix of any moved generator's image,
-    so scanning prefixes is a complete search.
-    """
-    gens = sorted(endo, key=token_key)
-    moved = [g for g in gens if endo[g] != (g,)]
-    if not moved:
-        return True
-    candidate_source = endo[moved[0]]
-    for k in range(len(candidate_source) + 1):
-        w = candidate_source[:k]
-        w_inv = inverse_word(w)
-        if all(tighten_word(w + (g,) + w_inv) == endo[g] for g in gens):
-            return True
-    return False
-
-
-def verify_homotopy_equivalence(f: GraphMap, f_inv: GraphMap, marking: Pi1Marking) -> bool:
-    """Check that ``f_inv`` inverts ``f`` up to inner automorphisms.
-
-    Both composition orders are required to induce conjugations, which
-    pins down a genuine homotopy inverse rather than a one-sided retract.
-    """
-    for left, right in ((f_inv, f), (f, f_inv)):
-        endo = pi1_automorphism(compose_maps(left, right), marking)
-        if not is_inner_endomorphism(endo):
-            return False
-    return True

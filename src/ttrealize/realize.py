@@ -554,11 +554,6 @@ def eligible_gate_turns(graph, gates, bp) -> list[tuple[int, int]]:
     return out
 
 
-def verify_selectors(graph, gates, bp, sel: SelectedPaths) -> None:
-    """Re-check every selection against its row of the clause table; raises on failure."""
-    _verify_rows(graph, gates, selector_clauses(graph, gates, bp), sel)
-
-
 def _verify_rows(graph, gates, clauses: list[Clause], sel: SelectedPaths) -> None:
     words = dict(sel)
     problems: list[str] = []
@@ -589,7 +584,10 @@ class FactorRecord:
 
     @classmethod
     def from_json(cls, graph: Graph, data: dict, memo: dict | None = None) -> "FactorRecord":
-        return cls(data["name"], GraphMap.from_json(graph, data["map"], memo))
+        name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"record name must be a string, got {name!r}")
+        return cls(name, GraphMap.from_json(graph, data["map"], memo))
 
 
 def build_edge_link_map(graph, sel: SelectedPaths, e: str) -> FactorRecord:

@@ -1,15 +1,15 @@
 """Gate-aware analysis of graph self-maps.
 
 Covers direction maps, train track validation, intrinsic gate structures,
-gate-Whitehead graphs, long turns with the legalizing verifier, bounded
-periodic Nielsen path search, and gate index lists.  The classical train
-track test and the intrinsic gates both read one table of eventual
-directions, ``Df^D`` for ``D`` the number of directions; the periodic
-vertices are the image of the same power of the vertex map.
+gate-Whitehead graphs, long-turn counts with the legalizing verifier,
+bounded periodic Nielsen path search, and gate index lists.  The intrinsic
+gates, and their check that the map is a classical train track map, read
+one table of eventual directions, ``Df^D`` for ``D`` the number of
+directions; the periodic vertices are the image of the same power of the
+vertex map.
 
 Every map is a ``MapChain``, a single map a one-factor chain.  Only the
-train track morphism test reads factors (``GraphMap``) one at a time, and
-only ``long_turn_image`` spells a factor's branch images out.  The
+train track morphism test reads factors (``GraphMap``) one at a time.  The
 verifiers work through exact lengths, lazy letter windows and the chain
 tables' crossed turns, so nothing here ever materializes a composed edge
 image.
@@ -24,8 +24,6 @@ from typing import Iterable, Iterator
 from .core import (
     GateStructure,
     Graph,
-    GraphError,
-    Path,
     canonical_index_list,
     is_legal_word,
     token_key,
@@ -48,7 +46,6 @@ INP_PERIOD_BOUND = 8  # largest period the Nielsen path search tries
 INP_LENGTH_BOUND = 200  # letters kept of each branch after a strip step
 INP_MAX_STEPS = 48  # strip steps taken from one turn at one period
 LEGALIZING_FAMILY_BUDGET = 500_000  # long-turn families verify_legalizing resolves
-LONG_TURN_IMAGE_BUDGET = 1_000_000  # letters long_turn_image spells per branch
 
 
 class VerificationBudgetError(RuntimeError):
@@ -193,30 +190,17 @@ def _settled(step: dict[str, str]) -> dict[str, str]:
     return out
 
 
-def is_classical_train_track(f: MapChain) -> bool:
-    """All iterated edge images reduced: no taken turn ever degenerates.
-
-    The taken turns are those crossed by single edge images, read exactly
-    from the chain tables; they are closed under the direction map, and
-    some ``f^t(e)`` is unreduced iff some taken turn has equal eventual
-    directions.
-    """
-    return _keeps_taken_turns(f, _settled(direction_map(f)))
-
-
-def _keeps_taken_turns(f: MapChain, eventual: dict[str, str]) -> bool:
-    return all(eventual[x] != eventual[y] for x, y in f.crossed_turns)
-
-
 def intrinsic_gate_structure(f: MapChain) -> GateStructure:
     """Gates by eventual direction collision: Df^t(e) = Df^t(e') for some t.
 
     Directions share a gate when they share their initial vertex and their
     eventual direction.  Raises ``MapError`` unless ``f`` is a classical
-    train track map.
+    train track map: the taken turns, those crossed by single edge images,
+    are closed under the direction map, and some ``f^t(e)`` is unreduced
+    iff some taken turn has equal eventual directions.
     """
     eventual = _settled(direction_map(f))
-    if not _keeps_taken_turns(f, eventual):
+    if any(eventual[x] == eventual[y] for x, y in f.crossed_turns):
         raise MapError("map is not a classical train track map")
     graph = f.graph
     groups: dict[tuple[str, str], list[str]] = {}
@@ -251,10 +235,6 @@ class WhiteheadGraph:
                     seen.add(m)
                     stack.append(m)
         return len(seen) == len(self.nodes)
-
-    def is_complete(self) -> bool:
-        want = len(self.nodes) * (len(self.nodes) - 1) // 2
-        return len(self.edges) == want
 
 
 def whitehead_graphs(f: MapChain, gates: GateStructure) -> dict[str, WhiteheadGraph]:
@@ -295,58 +275,6 @@ def whitehead_graphs(f: MapChain, gates: GateStructure) -> dict[str, WhiteheadGr
 # -- long turns ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LongTurn:
-    """Two legal paths from one vertex with distinct initial edges."""
-
-    branch_a: Path
-    branch_b: Path
-
-    def __post_init__(self):
-        if self.branch_a.is_empty or self.branch_b.is_empty:
-            raise GraphError("long turn branches must be non-trivial")
-        if self.branch_a.start != self.branch_b.start:
-            raise GraphError("long turn branches must share their start")
-        if self.branch_a.edges[0] == self.branch_b.edges[0]:
-            raise GraphError("long turn branches must have distinct initial edges")
-
-    @property
-    def starting_turn(self) -> Turn:
-        return Turn(self.branch_a.edges[0], self.branch_b.edges[0])
-
-    def is_legal(self, gates: GateStructure) -> bool:
-        return self.starting_turn.is_legal(gates)
-
-
-def legal_paths_from(graph: Graph, gates: GateStructure, first: str, length: int) -> Iterator[tuple[str, ...]]:
-    """All legal paths of the given length starting with the edge ``first``."""
-    def extend(prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for nxt in gates.legal_continuations(prefix[-1]):
-            yield from extend(prefix + (nxt,))
-
-    yield from extend((first,))
-
-
-def enumerate_long_turns(graph: Graph, gates: GateStructure, length: int) -> Iterator[LongTurn]:
-    """Every long turn with both branches of the given length, once each."""
-    if length < 1:
-        raise GraphError("branch length must be at least 1")
-    for v in graph.vertices:
-        edges = graph.edges_at(v)
-        by_edge = {
-            e: [Path(v, p) for p in legal_paths_from(graph, gates, e, length)]
-            for e in edges
-        }
-        for i, e in enumerate(edges):
-            for e2 in edges[i + 1:]:
-                for pa in by_edge[e]:
-                    for pb in by_edge[e2]:
-                        yield LongTurn(pa, pb)
-
-
 def count_long_turns(graph: Graph, gates: GateStructure, length: int) -> int:
     """|LT_C| by dynamic programming, without enumeration."""
     counts = {t: 1 for t in graph.directed_edges}
@@ -361,29 +289,6 @@ def count_long_turns(graph: Graph, gates: GateStructure, length: int) -> int:
         s = sum(per_edge)
         total += (s * s - sum(c * c for c in per_edge)) // 2
     return total
-
-
-def long_turn_image(g: GraphMap, lt: LongTurn) -> LongTurn | None:
-    """The image long turn after erasing the common initial subpath.
-
-    Returns None when one branch image is a subpath of the other (the long
-    turn is not g-long).  Branch lengths of the image may differ; truncate
-    to the shorter one when a fixed branch length is needed downstream.
-    ``g`` is one factor, whose images spell the branches out.
-    """
-    branches = (lt.branch_a.edges, lt.branch_b.edges)
-    if max(sum(len(g.image_edges(t)) for t in b) for b in branches) > LONG_TURN_IMAGE_BUDGET:
-        raise MapError("long turn image exceeds materialization budget")
-    wa, wb = (tuple(x for t in b for x in g.image_edges(t)) for b in branches)
-    cut = 0
-    limit = min(len(wa), len(wb))
-    while cut < limit and wa[cut] == wb[cut]:
-        cut += 1
-    if cut == limit:
-        return None
-    graph = g.graph
-    start = graph.init_of(wa[cut])
-    return LongTurn(Path(start, tuple(wa[cut:])), Path(start, tuple(wb[cut:])))
 
 
 # -- the legalizing verifier ---------------------------------------------------

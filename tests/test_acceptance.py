@@ -10,11 +10,10 @@ import pytest
 
 from ttrealize.cli import enumerate_admissible
 from ttrealize.core import canonical_index_list
-from ttrealize.maps import GraphMap, MapChain, compose_maps, is_homotopy_equivalence, transition_matrix
+from ttrealize.maps import GraphMap, MapChain, is_homotopy_equivalence
 from ttrealize.traintrack import (
     find_periodic_inps,
     intrinsic_gate_structure,
-    legal_paths_from,
     whitehead_graphs,
 )
 from ttrealize.realize import (
@@ -24,11 +23,20 @@ from ttrealize.realize import (
     build_mixing_factors,
     realize,
     select_paths,
-    verify_selectors,
 )
-from ttrealize.certify import FULL_THEOREM, periodic_class_status
+from ttrealize.certify import FULL_THEOREM
 from ttrealize.experiment import run_experiment
 from tests.test_maps import random_graph, random_self_map
+from reference import (
+    compose_maps,
+    graph_path,
+    is_complete,
+    is_positive_matrix,
+    legal_paths_from,
+    periodic_class_status,
+    transition_matrix,
+    verify_selectors,
+)
 
 RANKS = (3, 4, 5, 6)
 
@@ -91,12 +99,12 @@ def test_criterion_3_per_construction_properties(sweep):
         ], (rank, entries)
         # the mixing map has a positive matrix and connected gate graphs,
         # complete ones away from the maximal odd case
-        assert transition_matrix(result.h).is_positive, (rank, entries)
+        assert is_positive_matrix(transition_matrix(result.h)), (rank, entries)
         whs = whitehead_graphs(result.h, gates)
         for v, wh in whs.items():
             assert wh.is_connected(), (rank, entries, v)
             if bp.case in (CASE_EVEN, CASE_ODD):
-                assert wh.is_complete(), (rank, entries, v)
+                assert is_complete(wh), (rank, entries, v)
         # the stored C stays under the cap that certify enforces
         assert result.C <= bp.c_max, (rank, entries)
         # the given gates are recovered as the intrinsic ones
@@ -123,7 +131,7 @@ def test_criterion_3_per_construction_properties(sweep):
         legalizer = result.legalizers[0].map
         length = bp.circle_length + 1
         images_a, images_b = (
-            [tuple(x for t in graph.path("v1", word).edges for x in legalizer.image_edges(t))
+            [tuple(x for t in graph_path(graph, "v1", word).edges for x in legalizer.image_edges(t))
              for word in legal_paths_from(graph, gates, first, length)]
             for first in ("a1", "c1")
         )

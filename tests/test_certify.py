@@ -26,12 +26,15 @@ from ttrealize.certify import (
     FAILED,
     FULL_THEOREM,
     certify_realization,
+    expanding_power,
+    stable_index_list,
+)
+from reference import (
     cyclic_tighten,
     cyclically_equal,
-    expanding_power,
+    identity_map,
     periodic_class_status,
     periodic_class_survey,
-    stable_index_list,
 )
 
 
@@ -62,7 +65,7 @@ def test_full_certificate_on_realization(even_instance):
 def test_identity_second_factor_fails_certification(odd_instance):
     """Swapping the legalizers for one identity record loses the
     certificate: g = h∘id∘h does not legalize at the stored C."""
-    identity = FactorRecord("identity", GraphMap.identity(odd_instance.graph))
+    identity = FactorRecord("identity", identity_map(odd_instance.graph))
     result = dataclasses.replace(odd_instance, legalizers=[identity], report=None)
     report = certify_realization(result)
     assert report.level == FAILED

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttrealize.certify import expanding_power
-from ttrealize.core import GateStructure, Graph, Path, crossed_turns, inverse, positive_label
+from ttrealize.core import GateStructure, Graph, Path, inverse, positive_label
 from ttrealize.experiment import sample_positive_automorphism
 from ttrealize.maps import (
     GraphMap,
@@ -36,19 +36,23 @@ from ttrealize.maps import (
     MapError,
     TransitionMatrix,
     compare_image_words,
-    compose_maps,
     is_primitive,
     strip_windows,
-    transition_matrix,
     word_image_window,
 )
 from ttrealize.traintrack import (
     intrinsic_gate_structure,
-    is_classical_train_track,
     periodic_vertices,
     whitehead_graphs,
 )
 from test_maps import brute_force_primitive, exact_columns, random_graph, random_self_map
+from reference import (
+    compose_maps,
+    crossed_turns,
+    is_classical_train_track,
+    singleton_gates,
+    transition_matrix,
+)
 
 # composed powers are only materialized up to this many letters
 LETTER_CAP = 20_000
@@ -121,7 +125,20 @@ def same_letters(got, want) -> None:
 
 
 def image_of(f: GraphMap, word) -> tuple[str, ...]:
-    return tuple(t for token in word for t in f.image_edges(token))
+    return tuple(itertools.chain.from_iterable(map(f.image_edges, word)))
+
+
+def common_prefix(a, b) -> int:
+    """The length of the longest common prefix of two letter sequences, by
+    halving the span still unknown with slice comparisons."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def image_turns(f: GraphMap, e: str) -> list[tuple[str, str]]:
@@ -162,9 +179,7 @@ def check_against(chain: MapChain, dense: GraphMap, rng: random.Random) -> None:
         start = rng.randrange(len(da) + 1)
         count = rng.randrange(1, 40)
         same_letters(word_image_window(chain, word_a, start, count), da[start:start + count])
-        common = 0
-        while common < min(len(da), len(db)) and da[common] == db[common]:
-            common += 1
+        common = common_prefix(da, db)
         outcome = compare_image_words(chain, word_a, word_b)
         windows = strip_windows(chain, word_a, word_b, count)
         if common == min(len(da), len(db)):
@@ -292,7 +307,7 @@ def check_turns(chain: MapChain, dense: GraphMap) -> None:
     check_intrinsic(one, dense)
     gates = check_intrinsic(chain, dense)
     if gates is None:
-        gates = GateStructure.singletons(graph)
+        gates = singleton_gates(graph)
     assert whitehead_or_error(chain, gates) == whitehead_or_error(one, gates)
 
 

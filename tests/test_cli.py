@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 
 import pytest
 
@@ -221,18 +222,33 @@ def _set_version(value):
     return edit
 
 
+def _set_record_name(value):
+    def edit(doc):
+        doc["mixing_factors"][0]["name"] = value
+    return edit
+
+
+def _set_edge_label(value):
+    def edit(doc):
+        doc["graph"]["edges"][0]["label"] = value
+    return edit
+
+
 # rank, each doubled entry and C are JSON integers: a float, a boolean or a
 # string that Python would coerce to one is malformed too.  A version other
-# than 1 names a format this decoder does not read.
+# than 1 names a format this decoder does not read.  Record names, vertices
+# and edge labels are strings.
 @pytest.mark.parametrize(
     "edit",
     [_break_images, _set_c("2"), _set_c(None), _set_c(10**9), _drop_gates,
      _set_blueprint("entries_doubled", [1.7]), _set_blueprint("entries_doubled", [True]),
      _set_blueprint("entries_doubled", ["1"]), _set_blueprint("rank", 3.0), _set_c(True),
-     _set_c(0), _set_c(-3), _set_version(99), _set_version(True), _set_version(1.0)],
+     _set_c(0), _set_c(-3), _set_version(99), _set_version(True), _set_version(1.0),
+     _set_record_name(["x"]), _set_edge_label(7)],
     ids=["images-list", "C-string", "C-null", "C-over-cap", "missing-key",
          "entry-float", "entry-bool", "entry-string", "rank-float", "C-bool",
-         "C-zero", "C-negative", "version-99", "version-bool", "version-float"],
+         "C-zero", "C-negative", "version-99", "version-bool", "version-float",
+         "name-list", "label-int"],
 )
 def test_malformed_document_exits_two(tmp_path, capsys, edit):
     out = tmp_path / "result.json"
@@ -244,3 +260,6 @@ def test_malformed_document_exits_two(tmp_path, capsys, edit):
     assert main(["certify", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("malformed realization document"), err
+    # the reason is a check of the decoder's or the key it misses, never an
+    # attribute or type error from reading the wrong kind of value
+    assert re.match(r"malformed realization document: (KeyError|ValueError|GraphError|MapError)\(", err[0]), err

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 TESTS = pathlib.Path(__file__).parent
 PACKAGE = TESTS.parent / "src" / "ttrealize"
@@ -175,3 +176,86 @@ def test_a_factor_answers_no_queries_and_nothing_dispatches_on_map_type():
     defined = {n.name for n in factor.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
     defined |= {t.id for n in factor.body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
     assert sorted(defined & DROPPED_FACTOR_QUERIES) == []
+
+
+# Definitions of the package that no package code reads, each with why it
+# ships: a public entry point, re-exported by ``__init__``, or the file
+# under ``bench/`` that patches it by name.
+UNCALLED = {
+    "certify.stable_index_list": "public entry point",
+    "maps.MapChain.materialize": "bench/tracing.py",
+    "maps.TransitionMatrix": "bench/tracing.py",
+    "marking.build_marking": "bench/tracing.py",
+    "marking.pi1_automorphism": "bench/tracing.py",
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) for each top-level function and class, and
+    each method of a top-level class but dunders, which run implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read, as a name or an attribute, below ``node``."""
+    return Counter(_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each definition in ``sources`` (module name to
+    source) whose name no module reads outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for qualified, definition in definitions(tree):
+            name = qualified.rpartition(".")[2]
+            if reads[name] == _reads(definition)[name]:
+                found.append(f"{module}.{qualified}")
+    return sorted(found)
+
+
+def test_scan_sees_an_unreferenced_definition():
+    sources = {
+        "a": "def f():\n    return f()\ndef g():\n    pass\nclass C:\n    def m(self):\n        pass\n"
+             "    def n(self):\n        return self.m()\n    def __eq__(self, other):\n        pass\n",
+        "b": "from a import g\nprint(g, C)\n",
+    }
+    assert unreferenced(sources) == ["a.C.n", "a.f"]
+
+
+def test_every_package_definition_is_read_or_pinned():
+    """The package ships only code that its own modules reach, so that the
+    code a reader must trust is the code that runs.  The tests' oracles
+    live in ``tests/reference.py``.  The few exceptions are public entry
+    points and the probes ``bench/`` patches by name."""
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    found = unreferenced(sources)
+    unread = [name for name in found if name not in UNCALLED]
+    assert not unread, "no package code reads " + ", ".join(unread)
+    assert sorted(set(UNCALLED) - set(found)) == []
+    exported = {
+        alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    root = PACKAGE.parents[1]
+    for qualified, why in UNCALLED.items():
+        name = qualified.split(".")[1]
+        if why == "public entry point":
+            assert name in exported, qualified
+        else:
+            assert qualified.rpartition(".")[2] in (root / why).read_text(encoding="utf-8"), qualified

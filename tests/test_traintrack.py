@@ -7,34 +7,29 @@ import pytest
 
 from ttrealize import traintrack
 from ttrealize.certify import expanding_power
-from ttrealize.core import GateStructure, Graph, Path, inverse, is_legal_path, is_legal_word, tighten
+from ttrealize.core import GateStructure, Graph, Path, inverse, is_legal_word, tighten
 from ttrealize.experiment import sample_positive_automorphism
 from ttrealize.maps import (
     ComparisonBudgetError,
     GraphMap,
     MapChain,
     MapError,
-    compose_maps,
     strip_windows,
     word_image_window,
 )
 from ttrealize.traintrack import (
     FOUND,
     NONE_FOUND,
-    LongTurn,
     TrainTrackDiagnostics,
     Turn,
     check_train_track_morphism,
     count_long_turns,
     direction_map,
-    enumerate_long_turns,
     find_periodic_inps,
     fixes_all_gates,
     gate_direction_map,
     gate_index_list,
     intrinsic_gate_structure,
-    is_classical_train_track,
-    long_turn_image,
     periodic_vertices,
     verify_legalizing,
     whitehead_graphs,
@@ -42,6 +37,17 @@ from ttrealize.traintrack import (
 from ttrealize.realize import build_legalizing_map, select_paths
 from test_chain_oracle import sparse_factor
 from test_maps import random_graph, random_self_map
+from reference import (
+    LongTurn,
+    compose_maps,
+    enumerate_long_turns,
+    identity_map,
+    is_classical_train_track,
+    is_complete,
+    is_legal_path,
+    long_turn_image,
+    singleton_gates,
+)
 
 
 def fib(rose2):
@@ -57,7 +63,7 @@ def test_direction_map_fibonacci(rose2):
 
 
 def test_direction_map_identity(rose2):
-    df = direction_map(MapChain(rose2, [GraphMap.identity(rose2)]))
+    df = direction_map(MapChain(rose2, [identity_map(rose2)]))
     assert all(df[t] == t for t in rose2.directed_edges)
 
 
@@ -72,13 +78,13 @@ def test_direction_map_of_anchor_stamp(even_instance):
 
 def test_identity_is_train_track(even_instance):
     graph = even_instance.graph
-    diag = check_train_track_morphism(MapChain(graph, [GraphMap.identity(graph)]), even_instance.gates)
+    diag = check_train_track_morphism(MapChain(graph, [identity_map(graph)]), even_instance.gates)
     assert diag.ok
 
 
 def test_unreduced_image_fails(rose2):
     bad = GraphMap(rose2, {"a": ("a", "~a", "a"), "b": ("b",)})
-    diag = check_train_track_morphism(MapChain(rose2, [bad]), GateStructure.singletons(rose2))
+    diag = check_train_track_morphism(MapChain(rose2, [bad]), singleton_gates(rose2))
     assert "a" in diag.illegal_images
 
 
@@ -110,7 +116,7 @@ def test_factor_checks_read_only_what_moves_yet_match_full_checks():
     seen = {"bad_image": 0, "bad_turn": 0, "ok": 0, "moves_gate": 0, "fixes_gates": 0}
     for _ in range(400):
         graph = random_graph(rng)
-        gates = GateStructure.singletons(graph) if rng.random() < 0.4 else random_gates(graph, rng)
+        gates = singleton_gates(graph) if rng.random() < 0.4 else random_gates(graph, rng)
         try:
             f = sparse_factor(graph, rng) if rng.random() < 0.5 else random_self_map(graph, rng, rng.randint(1, 2))
         except ValueError:
@@ -193,7 +199,7 @@ def test_intrinsic_gates_reject_non_train_track(rose2):
 
 def test_whitehead_identity_is_empty(even_instance):
     graph = even_instance.graph
-    wh = whitehead_graphs(MapChain(graph, [GraphMap.identity(graph)]), even_instance.gates)["v1"]
+    wh = whitehead_graphs(MapChain(graph, [identity_map(graph)]), even_instance.gates)["v1"]
     assert wh.edges == frozenset()
     assert not wh.is_connected() or len(wh.nodes) == 1
 
@@ -201,7 +207,7 @@ def test_whitehead_identity_is_empty(even_instance):
 def test_whitehead_of_mixing_map_complete(even_instance, odd_instance):
     for inst in (even_instance, odd_instance):
         for v, wh in whitehead_graphs(inst.h, inst.gates).items():
-            assert wh.is_complete(), (inst.blueprint.case, v)
+            assert is_complete(wh), (inst.blueprint.case, v)
             assert wh.is_connected()
 
 
@@ -238,14 +244,14 @@ def test_whitehead_needs_fixed_vertices():
         {"u": "v", "v": "u"},
     )
     with pytest.raises(MapError):
-        whitehead_graphs(MapChain(square, [swap]), GateStructure.singletons(square))
+        whitehead_graphs(MapChain(square, [swap]), singleton_gates(square))
 
 
 # -- long turns -------------------------------------------------------------------
 
 
 def test_long_turns_at_length_one_are_turns(rose2):
-    gates = GateStructure.singletons(rose2)
+    gates = singleton_gates(rose2)
     turns = list(enumerate_long_turns(rose2, gates, 1))
     assert len(turns) == 6  # C(4, 2) unordered pairs of directions
     assert count_long_turns(rose2, gates, 1) == 6
@@ -307,7 +313,7 @@ def test_long_turn_image_trivial_prefix(rose2):
 
 def test_identity_is_not_legalizing(even_instance):
     graph = even_instance.graph
-    cert = verify_legalizing(MapChain(graph, [GraphMap.identity(graph)]), even_instance.gates, 1)
+    cert = verify_legalizing(MapChain(graph, [identity_map(graph)]), even_instance.gates, 1)
     assert not cert.ok
     assert cert.verdict == "failed"
 
@@ -373,7 +379,7 @@ def test_inp_search_clean_on_certified_map(odd_instance):
 def test_inp_search_vacuous_without_illegal_turns():
     loop = Graph(["v"], [("a", "v", "v")])
     f = MapChain(loop, [GraphMap(loop, {"a": ("a", "a")})])
-    gates = GateStructure.singletons(loop)
+    gates = singleton_gates(loop)
     inp = find_periodic_inps(f, gates)
     assert inp.verdict == NONE_FOUND
 
